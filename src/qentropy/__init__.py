@@ -61,6 +61,7 @@ from .qsub import (
 from .estimator import (
     DerivedParams,
     EstimateReport,
+    EstimationPlan,
     EstimatorParams,
     check_guarantee,
     derive_params,
@@ -69,6 +70,7 @@ from .estimator import (
     estimate_entropy,
     heavy_entropy,
     lightweight,
+    plan_estimate,
     promise_threshold,
     total_query_bound,
 )

@@ -23,6 +23,8 @@ def _as_prob_vector(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValidationError("probability vector must be a non-empty 1-d array")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("probabilities must be finite (found NaN or inf)")
     if np.any(p < 0):
         raise ValidationError("probabilities must be non-negative")
     s = float(p.sum())
@@ -98,6 +100,8 @@ class DensityMatrix:
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("density matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("density matrix entries must be finite (found NaN or inf)")
         if not np.allclose(m, m.conj().T, atol=1e-10):
             raise ValidationError("density matrix must be Hermitian")
         tr = float(np.real(np.trace(m)))

@@ -7,6 +7,10 @@ polynomials and estimate the resulting power sums; recombine into an
 entropy estimate
     H_tilde = H_heavy + w_light * log2(n) / gamma'
 that is (1+2*eps)*gamma-multiplicative whenever the entropy promise holds.
+
+The seed-independent work (singular value estimation and the light/heavy
+split) is planned once per call; each repetition only charges the ledger,
+transforms the heavy singular values and draws its amplitude estimates.
 """
 from __future__ import annotations
 
@@ -19,13 +23,23 @@ from .dists import DensityMatrix, Distribution, ValidationError, shannon_entropy
 from .encodings import (
     ProjectedUnitaryEncoding,
     PurifiedOracle,
+    build_purified_oracle_classical,
+    build_purified_oracle_quantum,
     projected_encoding_classical,
     projected_encoding_quantum,
     spectral_encoding_classical,
     spectral_encoding_quantum,
 )
 from .logapprox import TaylorPolynomial, certify, taylor_poly_neg, taylor_poly_pos
-from .qsub import M_for_precision, QueryLedger, boost_median, qae, qsve, qsvt_apply
+from .qsub import (
+    SVE_ROUNDS_FACTOR,
+    M_for_precision,
+    QueryLedger,
+    boost_median,
+    qae,
+    qsve,
+    qsvt_apply,
+)
 
 LN2 = math.log(2.0)
 TOTAL_BOUND_CONSTANT = 5000.0  # calibrated constant in the total-query bound
@@ -150,28 +164,61 @@ class HeavyResult:
     rounds: int
 
 
-def _sve_prep_cost(alpha: float, m_bits: int) -> int:
-    from .qsub import SVE_ROUNDS_FACTOR
-    return math.ceil(alpha * SVE_ROUNDS_FACTOR * 2**m_bits)
+@dataclass(frozen=True)
+class EstimationPlan:
+    """The seed-independent part of an estimate, built once per call.
+
+    Holds one singular value estimation and the light/heavy split it
+    induces.  `heavy` keeps only the heavy singular values (no dense block),
+    so the power polynomials act on at most 1/beta' values instead of n.
+    Each repetition charges the ledger for its own SVE, SVT and QAE calls
+    and makes fresh amplitude-estimation draws.
+    """
+
+    enc: ProjectedUnitaryEncoding
+    derived: DerivedParams
+    light_flags: np.ndarray
+    heavy_flags: np.ndarray
+    w_true: float                    # true mass of the light labels
+    p_heavy: np.ndarray              # (alpha * sigma)^2 on the heavy labels
+    heavy: ProjectedUnitaryEncoding  # the heavy singular values only
+    prep_cost: int                   # oracle uses of one SVE-based preparation
 
 
-def lightweight(enc: ProjectedUnitaryEncoding, derived: DerivedParams, mode: str,
-                rng: np.random.Generator, ledger: QueryLedger,
-                sve_mode: str = "ideal_svd") -> LightweightResult:
-    """Estimate the total mass of elements below the split threshold."""
-    sve = qsve(enc, derived.m_bits, ledger, mode=sve_mode)
+def plan_estimate(enc: ProjectedUnitaryEncoding, derived: DerivedParams,
+                  sve_mode: str = "ideal_svd") -> EstimationPlan:
+    """Estimate the singular values once and split them at sqrt(beta')."""
+    if derived.poly_pos is None or derived.poly_neg is None:
+        raise ValidationError("derived parameters lack constructed polynomials")
+    # the SVE is charged by each stage of each repetition, not here
+    sve = qsve(enc, derived.m_bits, QueryLedger(), mode=sve_mode)
     light = sve.estimates < derived.sqrt_beta_prime
+    heavy = sve.estimates >= derived.sqrt_beta_prime
+    light.setflags(write=False)
+    heavy.setflags(write=False)
     p = enc.true_values() ** 2
-    w_true = float(p[light].sum())
-    est = qae(min(1.0, w_true), derived.M_light, mode, rng, ledger,
-              prep_cost_U=_sve_prep_cost(enc.alpha, derived.m_bits))
-    return LightweightResult(w_tilde=est.value, w_true=w_true,
-                             light_flags=light, rounds=est.rounds)
+    heavy_enc = ProjectedUnitaryEncoding(
+        sigma=enc.sigma[heavy], alpha=enc.alpha, ancilla_count=enc.ancilla_count,
+        kind=f"{enc.kind}:heavy")
+    return EstimationPlan(
+        enc=enc, derived=derived, light_flags=light, heavy_flags=heavy,
+        w_true=float(p[light].sum()), p_heavy=p[heavy], heavy=heavy_enc,
+        prep_cost=math.ceil(enc.alpha * SVE_ROUNDS_FACTOR * 2**derived.m_bits))
 
 
-def heavy_entropy(enc: ProjectedUnitaryEncoding, derived: DerivedParams, mode: str,
-                  rng: np.random.Generator, ledger: QueryLedger,
-                  sve_mode: str = "ideal_svd") -> HeavyResult:
+def lightweight(plan: EstimationPlan, mode: str, rng: np.random.Generator,
+                ledger: QueryLedger) -> LightweightResult:
+    """Estimate the total mass of elements below the split threshold."""
+    derived = plan.derived
+    ledger.charge_sve(plan.enc.alpha, derived.m_bits)
+    est = qae(min(1.0, plan.w_true), derived.M_light, mode, rng, ledger,
+              prep_cost_U=plan.prep_cost)
+    return LightweightResult(w_tilde=est.value, w_true=plan.w_true,
+                             light_flags=plan.light_flags, rounds=est.rounds)
+
+
+def heavy_entropy(plan: EstimationPlan, mode: str, rng: np.random.Generator,
+                  ledger: QueryLedger) -> HeavyResult:
     """Estimate the entropy carried by elements at or above the threshold.
 
     Runs the two power-polynomial transformations, amplitude-estimates the
@@ -179,18 +226,14 @@ def heavy_entropy(enc: ProjectedUnitaryEncoding, derived: DerivedParams, mode: s
     reconstructs the heavy entropy with the exact stored normalizations:
         H_heavy = (F-/(nu_-^2 alpha^(2a)) - F+/(nu_+^2 alpha^(-2a))) / (2 a ln 2).
     """
-    if derived.poly_pos is None or derived.poly_neg is None:
-        raise ValidationError("derived parameters lack constructed polynomials")
-    sve = qsve(enc, derived.m_bits, ledger, mode=sve_mode)
-    heavy = sve.estimates >= derived.sqrt_beta_prime
-    p = enc.true_values() ** 2
-    prep = _sve_prep_cost(enc.alpha, derived.m_bits)
+    derived = plan.derived
+    ledger.charge_sve(plan.enc.alpha, derived.m_bits)
     hats = {}
     for label, poly in (("plus", derived.poly_pos), ("minus", derived.poly_neg)):
-        tenc = qsvt_apply(enc, poly, ledger)
-        amp = float((p[heavy] * tenc.sigma[heavy] ** 2).sum())
+        tenc = qsvt_apply(plan.heavy, poly, ledger)
+        amp = float((plan.p_heavy * tenc.sigma ** 2).sum())
         est = qae(min(1.0, amp), derived.M_heavy, mode, rng, ledger,
-                  prep_cost_U=prep + poly.degree)
+                  prep_cost_U=plan.prep_cost + poly.degree)
         hats[label] = est.value
     a, alpha = derived.a, derived.alpha
     nu_p = derived.poly_pos.normalization
@@ -199,7 +242,7 @@ def heavy_entropy(enc: ProjectedUnitaryEncoding, derived: DerivedParams, mode: s
     f_minus = hats["minus"] / (nu_m**2 * alpha ** (2.0 * a))
     h_heavy = (f_minus - f_plus) / (2.0 * a * LN2)
     return HeavyResult(h_heavy=h_heavy, f_plus_hat=hats["plus"],
-                       f_minus_hat=hats["minus"], heavy_flags=heavy,
+                       f_minus_hat=hats["minus"], heavy_flags=plan.heavy_flags,
                        rounds=derived.M_heavy)
 
 
@@ -239,18 +282,17 @@ def _resolve_encoding(source, dense: bool | None = None):
     """Map a distribution / density matrix / oracle onto (encoding, H_true)."""
     if isinstance(source, Distribution):
         if dense:
-            from .encodings import build_purified_oracle_classical
             enc = projected_encoding_classical(build_purified_oracle_classical(source))
         else:
             enc = spectral_encoding_classical(source)
         return enc, shannon_entropy(source)
     if isinstance(source, DensityMatrix):
+        spec = source.spectrum()
         if dense:
-            from .encodings import build_purified_oracle_quantum
             enc = projected_encoding_quantum(build_purified_oracle_quantum(source))
         else:
-            enc = spectral_encoding_quantum(source.spectrum())
-        return enc, von_neumann_entropy(source)
+            enc = spectral_encoding_quantum(spec)
+        return enc, shannon_entropy(spec)
     if isinstance(source, PurifiedOracle):
         if source.kind == "quantum":
             enc = projected_encoding_quantum(source)
@@ -288,17 +330,28 @@ def estimate_entropy(source, params: EstimatorParams, mode: str = "exact",
     outcome distribution).  `repetitions` (odd) applies median boosting to
     the final estimate; the ledger accumulates over all repetitions.
     """
+    enc, h_true = _resolve_encoding(source, dense)
+    return _estimate(enc, h_true, params, mode, seed, repetitions, sve_mode, derived)
+
+
+def _estimate(enc: ProjectedUnitaryEncoding, h_true: float, params: EstimatorParams,
+              mode: str, seed: int, repetitions: int, sve_mode: str = "ideal_svd",
+              derived: DerivedParams | None = None) -> EstimateReport:
+    """Plan once, then draw each repetition from its own seed."""
     if repetitions < 1 or repetitions % 2 == 0:
         raise ValidationError("repetitions must be a positive odd number")
-    enc, h_true = _resolve_encoding(source, dense)
+    if params.n != enc.sigma.size:
+        raise ValidationError(
+            f"params.n = {params.n} does not match the source size {enc.sigma.size}")
     if derived is None:
         derived = derive_params(params, alpha=enc.alpha)
+    plan = plan_estimate(enc, derived, sve_mode)
     ledger = QueryLedger()
     estimates, heavies, lights = [], [], []
     for k in range(repetitions):
         rng = np.random.default_rng(seed + k)
-        lw = lightweight(enc, derived, mode, rng, ledger, sve_mode)
-        hv = heavy_entropy(enc, derived, mode, rng, ledger, sve_mode)
+        lw = lightweight(plan, mode, rng, ledger)
+        hv = heavy_entropy(plan, mode, rng, ledger)
         h_k = max(0.0, hv.h_heavy + lw.w_tilde * math.log2(params.n) / derived.gamma_prime)
         estimates.append(h_k)
         heavies.append(hv.h_heavy)
@@ -327,14 +380,13 @@ def estimate_additive(source, eps_add: float, mode: str = "exact", seed: int = 0
     """
     if eps_add <= 0:
         raise ValidationError("eps_add must be positive")
-    n = _source_size(source)
+    enc, h_true = _resolve_encoding(source)
+    n = enc.sigma.size
     logn = math.log2(n)
     gamma = 1.0 + eps_add / logn
     params = EstimatorParams(n=n, gamma=gamma, eps=min(0.5, eps_add / (4.0 * logn)))
-    enc, _ = _resolve_encoding(source)
     derived = derive_params(params, alpha=enc.alpha, m_bits=math.ceil(logn))
-    return estimate_entropy(source, params, mode=mode, seed=seed,
-                            repetitions=repetitions, derived=derived)
+    return _estimate(enc, h_true, params, mode, seed, repetitions, derived=derived)
 
 
 @dataclass(frozen=True)
@@ -355,23 +407,12 @@ def entropy_threshold_test(source, h_high: float, h_low: float, eps: float = 0.1
     gamma = math.sqrt(h_high / h_low)
     if gamma <= 1.0:
         raise ValidationError("threshold gap too small")
-    n = _source_size(source)
-    params = EstimatorParams(n=n, gamma=gamma, eps=eps)
-    rep = estimate_entropy(source, params, mode=mode, seed=seed,
-                           repetitions=repetitions)
+    enc, h_true = _resolve_encoding(source)
+    params = EstimatorParams(n=enc.sigma.size, gamma=gamma, eps=eps)
+    rep = _estimate(enc, h_true, params, mode, seed, repetitions)
     cut = math.sqrt(h_high * h_low)
     return ThresholdReport(high=rep.h_tilde > cut, h_tilde=rep.h_tilde,
                            gamma=gamma, cut=cut, estimate=rep)
-
-
-def _source_size(source) -> int:
-    if isinstance(source, (Distribution, DensityMatrix)):
-        return source.n
-    if isinstance(source, PurifiedOracle):
-        return int(source.register_dims[1 - source.ancilla_axis])
-    if isinstance(source, ProjectedUnitaryEncoding):
-        return int(source.sigma.size)
-    raise ValidationError(f"cannot interpret source of type {type(source).__name__}")
 
 
 def total_query_bound(n: int, gamma: float, eps: float, alpha: float = 1.0,

@@ -190,16 +190,32 @@ def M_for_precision(p_hint: float, eps: float) -> int:
 
 
 def qae_outcome_distribution(p: float, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Support sin^2(pi j / M) and probabilities of M-round amplitude estimation."""
+    """Support sin^2(pi j / M) and probabilities of M-round amplitude estimation.
+
+    M reaches millions at small error budgets, so the arrays are built in
+    place in three length-M buffers rather than through fresh temporaries.
+    """
     theta = math.asin(math.sqrt(p)) / math.pi
-    j = np.arange(rounds)
-    d = theta - j / rounds
+    values = np.arange(rounds, dtype=float)
+    d = values / rounds
+    np.subtract(theta, d, out=d)                  # d = theta - j/M
+    den = np.multiply(np.pi, d)
+    np.sin(den, out=den)                          # sin(pi d)
+    on_grid = den >= -1e-15                       # |sin(pi d)| <= 1e-15
+    on_grid &= den <= 1e-15
+    np.square(den, out=den)
+    den *= rounds**2
+    probs = np.multiply(rounds * np.pi, d, out=d)
+    np.sin(probs, out=probs)
+    np.square(probs, out=probs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        probs = np.sin(rounds * np.pi * d) ** 2 / (rounds**2 * np.sin(np.pi * d) ** 2)
-    on_grid = np.isclose(np.sin(np.pi * d), 0.0, atol=1e-15)
+        probs /= den                              # sin^2(M pi d) / (M^2 sin^2(pi d))
     probs[on_grid] = 1.0
-    probs = probs / probs.sum()
-    values = np.sin(np.pi * j / rounds) ** 2
+    probs /= probs.sum()
+    values *= np.pi
+    values /= rounds
+    np.sin(values, out=values)
+    np.square(values, out=values)
     return values, probs
 
 

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import qentropy.estimator as estimator_module
 from qentropy import (
     DensityMatrix,
     Distribution,
     EstimatorParams,
     ValidationError,
+    build_purified_oracle_classical,
     check_guarantee,
     derive_params,
     entropy_threshold_test,
     estimate_additive,
     estimate_entropy,
     promise_threshold,
+    round_to_grid,
     shannon_entropy,
     total_query_bound,
     von_neumann_entropy,
@@ -181,3 +184,83 @@ def test_report_record_is_json_friendly():
     rec = rep.to_record()
     text = json.dumps(rec, sort_keys=True)
     assert json.loads(text)["n"] == 32
+
+
+def _params(n):
+    return EstimatorParams(n=n, gamma=1.5, eps=0.1)
+
+
+# (call, (h_tilde, uses_U, controlled_U, extra_gates, deg_pos, deg_neg)), recorded
+# before the estimator planned once per call: planning must not change a bit.
+GOLDEN = {
+    "zipf4096_sampled": (
+        lambda: estimate_entropy(Distribution.zipf(4096, 1.0), _params(4096),
+                                 mode="sampled", seed=3, repetitions=9),
+        (7.074635409736536, 19667349, 18, 7047, 126, 135)),
+    "density32": (
+        lambda: estimate_entropy(DensityMatrix.random(32, np.random.default_rng(4)),
+                                 _params(32), mode="sampled", seed=1, repetitions=3),
+        (4.143809910780301, 5573568, 6, 2727, 146, 157)),
+    "additive_zipf256": (
+        lambda: estimate_additive(Distribution.zipf(256, 1.0), 0.25, mode="sampled", seed=2),
+        (6.221401425857255, 22456644258, 2, 25437, 4232, 4247)),
+    "dense_oracle8": (
+        lambda: estimate_entropy(
+            build_purified_oracle_classical(Distribution.dirichlet(8, np.random.default_rng(5))),
+            _params(8), mode="bound_only", seed=6, repetitions=3),
+        (2.427644996637545, 191520, 6, 171, 9, 10)),
+    "statevector_qpe8": (
+        lambda: estimate_entropy(Distribution.dirichlet(8, np.random.default_rng(7)), _params(8),
+                                 mode="sampled", seed=8, repetitions=3,
+                                 sve_mode="statevector_qpe", dense=True),
+        (2.219072852655004, 191520, 6, 171, 9, 10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_estimates_and_ledgers_match_recorded_values(name):
+    call, (h_tilde, uses, controlled, extra, deg_pos, deg_neg) = GOLDEN[name]
+    rep = call()
+    assert rep.h_tilde == h_tilde
+    assert rep.ledger == {"uses_U": uses, "uses_U_dagger": uses, "controlled_U": controlled,
+                          "extra_gates": extra, "total_queries": 2 * uses}
+    assert (rep.deg_pos, rep.deg_neg) == (deg_pos, deg_neg)
+
+
+def test_heavy_stage_evaluates_polynomials_only_at_heavy_labels(monkeypatch):
+    n, repetitions = 4096, 3
+    p = Distribution.zipf(n, 1.0)
+    params = _params(n)
+    seen = []
+    real = estimator_module.qsvt_apply
+
+    def recording(enc, poly, ledger):
+        seen.append(np.array(enc.sigma))
+        return real(enc, poly, ledger)
+
+    monkeypatch.setattr(estimator_module, "qsvt_apply", recording)
+    estimate_entropy(p, params, mode="sampled", seed=0, repetitions=repetitions)
+    d = derive_params(params, build_polys=False)
+    sigma = np.sort(np.sqrt(p.probs))[::-1]
+    heavy = sigma[round_to_grid(sigma, d.m_bits) >= d.sqrt_beta_prime]
+    assert 0 < heavy.size <= 1.0 / d.beta_prime < n
+    assert len(seen) == 2 * repetitions
+    for evaluated in seen:
+        np.testing.assert_array_equal(evaluated, heavy)
+
+
+def test_size_mismatch_is_rejected():
+    with pytest.raises(ValidationError, match="params.n = 1024"):
+        estimate_entropy(Distribution.uniform(64), EstimatorParams(n=1024, gamma=2.0))
+    with pytest.raises(ValidationError, match="source size 8"):
+        estimate_entropy(DensityMatrix.maximally_mixed(8), EstimatorParams(n=16, gamma=2.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_rejected(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        Distribution(np.array([bad, 1.0]))
+    mat = np.eye(2, dtype=complex) / 2
+    mat[0, 1] = mat[1, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        DensityMatrix(mat)

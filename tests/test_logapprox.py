@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
 from qentropy.logapprox import (
+    _cert_grid,
     binom_abs_series_sum,
     certify,
     choose_exponent,
@@ -123,3 +125,32 @@ def test_cert_report_round_trip_record():
     assert rec["degree"] == poly.degree
     assert rec["sign"] == 1
     assert math.isfinite(rec["eps_cert"])
+
+
+@pytest.mark.parametrize("make", [lambda: taylor_poly_pos(0.3, 0.05, 1e-6),
+                                  lambda: taylor_poly_neg(0.3, 0.05, 1e-6)])
+def test_certify_matches_separate_grid_passes(make):
+    # certify evaluates both grids in one pass; the neg case is rescaled
+    poly, ref = make(), make()
+    rep = certify(poly, 4001)
+    full = _cert_grid(-1.0, 1.0, 4001)
+    max_abs = float(np.abs(ref(full)).max())
+    if max_abs > 1.0 + 1e-12:
+        ref.coeffs = ref.coeffs / max_abs
+        ref.normalization /= max_abs
+        max_abs = float(np.abs(ref(full)).max())
+    dom = _cert_grid(ref.delta, 1.0, 4001)
+    assert rep.max_abs == max_abs
+    assert rep.sup_error == float(np.abs(ref(dom) - ref.target(dom)).max())
+    assert np.array_equal(poly.coeffs, ref.coeffs)
+
+
+def test_horner_matches_out_of_place_loop():
+    poly = taylor_poly_neg(0.3, 0.05, 1e-6)
+    x = np.linspace(0.0, 1.0, 501)
+    y = x - 1.0
+    acc = np.full_like(y, poly.coeffs[poly.degree])
+    for k in range(poly.degree - 1, -1, -1):
+        acc = acc * y + poly.coeffs[k]
+    assert np.array_equal(poly(x), acc)
+    assert poly(0.4) == float(poly(np.array([0.4]))[0])

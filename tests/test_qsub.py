@@ -128,6 +128,22 @@ def test_qae_outcome_distribution_is_normalized():
     assert near >= 8.0 / math.pi ** 2 - 1e-9
 
 
+
+@pytest.mark.parametrize("p, rounds", [(0.3, 32), (0.0, 7), (1.0, 64), (0.25, 4),
+                                       (math.sin(math.pi * 3 / 40) ** 2, 40), (0.61, 5003)])
+def test_qae_outcome_distribution_matches_closed_form(p, rounds):
+    # the in-place construction must equal the plain formula bit for bit
+    theta = math.asin(math.sqrt(p)) / math.pi
+    j = np.arange(rounds)
+    d = theta - j / rounds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.sin(rounds * np.pi * d) ** 2 / (rounds**2 * np.sin(np.pi * d) ** 2)
+    want[np.isclose(np.sin(np.pi * d), 0.0, atol=1e-15)] = 1.0
+    want = want / want.sum()
+    vals, probs = qae_outcome_distribution(p, rounds)
+    assert np.array_equal(probs, want)
+    assert np.array_equal(vals, np.sin(np.pi * j / rounds) ** 2)
+
 def test_qae_sampled_coverage():
     rng = np.random.default_rng(2)
     hits = 0
