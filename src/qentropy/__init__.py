@@ -77,7 +77,6 @@ from .estimator import (
 from .bench import (
     BaselineReport,
     SweepResult,
-    analytic_query_total,
     classical_baseline,
     high_entropy_distribution,
     lower_bound_demo,

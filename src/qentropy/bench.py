@@ -1,8 +1,8 @@
 """Benchmark harness: classical baseline, query-scaling sweeps, hard-instance demos.
 
-Sweeps use analytic ledgers: per-instance query totals computed from the
-same cost formulas the simulated subroutines charge, without running the
-estimator, so fits are deterministic.
+Sweeps read the ledger that `estimate_entropy` charges in exact mode.  That
+ledger depends only on (n, gamma, eps, alpha), not on the input, so each
+size runs on the uniform distribution and the fits are deterministic.
 """
 from __future__ import annotations
 
@@ -19,37 +19,14 @@ from .dists import (
     gen_lower_bound_pair,
     shannon_entropy,
 )
+from .encodings import spectral_encoding_classical, spectral_encoding_quantum
 from .estimator import (
     EstimatorParams,
-    derive_params,
     estimate_entropy,
     total_query_bound,
 )
-from .qsub import SVE_ROUNDS_FACTOR
 
-DEGREE_FIT_CONSTANT = 2.0   # analytic degree model constant
 FIT_EXCLUDE_SMALLEST = 2    # default number of smallest n excluded from fits
-
-
-# ---------------------------------------------------------------------------
-# Analytic ledger model
-# ---------------------------------------------------------------------------
-
-def analytic_degree(a: float, delta: float, eps: float) -> int:
-    """Closed-form degree model for the power polynomials."""
-    return int(math.ceil(DEGREE_FIT_CONSTANT * (max(1.0, a) / delta)
-                         * (math.log(1.0 / eps) + math.log(1.0 / delta) + 1.0)))
-
-
-def analytic_query_total(n: int, gamma: float, eps: float, alpha: float = 1.0) -> int:
-    """Total oracle queries (U plus U-dagger) of one full estimation run."""
-    params = EstimatorParams(n=n, gamma=gamma, eps=eps)
-    d = derive_params(params, alpha=alpha, build_polys=False)
-    prep = math.ceil(alpha * SVE_ROUNDS_FACTOR * 2**d.m_bits)
-    deg = analytic_degree(d.a, d.delta, d.eps2)
-    light = prep + d.M_light * prep
-    heavy = prep + 2 * (deg + d.M_heavy * (prep + deg))
-    return 2 * (light + heavy)
 
 
 @dataclass(frozen=True)
@@ -89,19 +66,24 @@ def query_scaling_sweep(n_list, gamma: float, eps: float, quantum: bool = False,
                         tolerance: float = 0.1) -> SweepResult:
     """Fit the scaling exponent of query totals against the predicted rate.
 
-    Fits the least-squares slope of log2(queries / log2(n)^2) versus log2(n),
-    excluding the `exclude_smallest` smallest sizes, and compares against
-    1/(2 gamma^2) classically or 1/2 + 1/(2 gamma^2) for quantum (diagonal)
-    inputs, within `tolerance`.
+    Each size's total is the ledger of one exact-mode `estimate_entropy` run
+    on the uniform distribution, through the classical spectral encoding
+    (alpha 1) or the quantum one (alpha sqrt(n)).  Fits the least-squares
+    slope of log2(queries / log2(n)^2) versus log2(n), excluding the
+    `exclude_smallest` smallest sizes, and compares against 1/(2 gamma^2)
+    classically or 1/2 + 1/(2 gamma^2) for quantum (diagonal) inputs,
+    within `tolerance`.
     """
     ns = sorted(int(n) for n in n_list)
     if len(ns) - exclude_smallest < 3:
         raise ValidationError("need at least 3 sizes after exclusion for the fit")
     rows = []
+    encode = spectral_encoding_quantum if quantum else spectral_encoding_classical
     for n in ns:
-        alpha = math.sqrt(n) if quantum else 1.0
-        q = analytic_query_total(n, gamma, eps, alpha)
-        b = total_query_bound(n, gamma, eps, alpha)
+        enc = encode(Distribution.uniform(n))
+        params = EstimatorParams(n=n, gamma=gamma, eps=eps)
+        q = estimate_entropy(enc, params, mode="exact").ledger["total_queries"]
+        b = total_query_bound(n, gamma, eps, enc.alpha)
         rows.append(SweepRow(n=n, queries=q, bound=b, within_bound=q <= b))
     xs = np.array([math.log2(r.n) for r in rows[exclude_smallest:]])
     ys = np.array([math.log2(r.queries / math.log2(r.n) ** 2)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dists import DensityMatrix, Distribution, ValidationError
 from .bench import (
+    FIT_EXCLUDE_SMALLEST,
     classical_baseline,
     high_entropy_distribution,
     lower_bound_demo,
@@ -37,6 +38,14 @@ MODE_MAP = {
     "bound": ("bound_only", "ideal_svd"),
     "sampled": ("sampled", "ideal_svd"),
     "statevector": ("exact", "statevector_qpe"),
+}
+
+GEN_KEYS = {  # generator name -> the spec keys it reads
+    "uniform": {"n"},
+    "point": {"n", "i"},
+    "zipf": {"n", "s"},
+    "dirichlet": {"n", "seed"},
+    "highent": {"n", "target", "seed"},
 }
 
 
@@ -62,11 +71,19 @@ def parse_gen(spec: str, seed: int = 0):
     Names: uniform, point, zipf, dirichlet, highent.
     """
     name, _, rest = spec.partition(":")
+    if name not in GEN_KEYS:
+        raise ValidationError(f"unknown generator {name!r}")
     kw = {}
     if rest:
         for part in rest.split(","):
             k, _, v = part.partition("=")
-            kw[k.strip()] = float(v) if "." in v or "e" in v.lower() else int(v)
+            k = k.strip()
+            if k not in GEN_KEYS[name]:
+                raise ValidationError(f"generator {name!r} has no key {k!r}")
+            try:
+                kw[k] = float(v) if "." in v or "e" in v.lower() else int(v)
+            except ValueError:
+                raise ValidationError(f"generator key {k!r} needs a number, got {v!r}") from None
     n = int(kw.get("n", 64))
     if name == "uniform":
         return Distribution.uniform(n)
@@ -76,15 +93,16 @@ def parse_gen(spec: str, seed: int = 0):
         return Distribution.zipf(n, float(kw.get("s", 1.0)))
     if name == "dirichlet":
         return random_distribution(n, int(kw.get("seed", seed)))
-    if name == "highent":
-        return high_entropy_distribution(n, float(kw.get("target", 0.9 * math.log2(n))),
-                                         int(kw.get("seed", seed)))
-    raise ValidationError(f"unknown generator {name!r}")
+    return high_entropy_distribution(n, float(kw.get("target", 0.9 * math.log2(n))),
+                                     int(kw.get("seed", seed)))
 
 
 def load_input(path: str):
     with open(path) as fh:
-        rec = json.load(fh)
+        try:
+            rec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
     if "probs" in rec:
         return Distribution.from_record(rec)
     if "re" in rec:
@@ -100,13 +118,16 @@ def _resolve_source(args, seed: int):
     raise ValidationError("provide --input or --gen")
 
 
-def _emit(records, out_path):
-    text = "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n"
+def _write(text: str, out_path):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(records, out_path):
+    _write("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n", out_path)
 
 
 def _require(args, *names):
@@ -173,15 +194,13 @@ def cmd_threshold(args) -> int:
 
 def cmd_sweep(args) -> int:
     _require(args, "gamma", "n_list")
-    ns = [int(x) for x in args.n_list.split(",")]
+    try:
+        ns = [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        raise ValidationError(f"--n-list needs comma-separated integers, got {args.n_list!r}") from None
     res = query_scaling_sweep(ns, args.gamma, args.eps, quantum=args.quantum,
                               exclude_smallest=args.exclude_smallest)
-    text = res.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(res.to_csv(), args.out)
     return EXIT_OK if (res.passed or not args.check) else EXIT_CHECK_FAILED
 
 
@@ -214,8 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="flat key=value config file applied as defaults")
     sub = ap.add_subparsers(dest="task", required=True)
 
-    def common(p, modes=True):
-        p.add_argument("--config", help="flat key=value config file applied as defaults")
+    def subcommand(name, help, func):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--config", default=argparse.SUPPRESS,
+                       help="flat key=value config file applied as defaults")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--check", action="store_true",
+                       help="exit 3 if a guarantee/check fails")
+        return p
+
+    def trials(p, modes=True):
         p.add_argument("--input", help="JSON distribution or density matrix")
         p.add_argument("--gen", help="generator spec, e.g. dirichlet:n=64,seed=3")
         p.add_argument("--seeds", type=int, default=1,
@@ -224,61 +252,46 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run this many trials at seeds base..base+t-1")
         p.add_argument("--repetitions", type=int, default=1,
                        help="odd median-boosting count")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--check", action="store_true",
-                       help="exit 3 if a guarantee/check fails")
         if modes:
             p.add_argument("--mode", choices=sorted(MODE_MAP), default="ideal")
 
-    p = sub.add_parser("estimate", help="multiplicative entropy estimate")
-    common(p)
+    p = subcommand("estimate", "multiplicative entropy estimate", cmd_estimate)
+    trials(p)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--eta", type=float, default=None)
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("additive", help="additive-error estimate")
-    common(p)
+    p = subcommand("additive", "additive-error estimate", cmd_additive)
+    trials(p)
     p.add_argument("--eps-add", dest="eps_add", type=float, default=None)
-    p.set_defaults(func=cmd_additive)
 
-    p = sub.add_parser("threshold", help="entropy threshold test")
-    common(p)
+    p = subcommand("threshold", "entropy threshold test", cmd_threshold)
+    trials(p)
     p.add_argument("--high", type=float, default=None)
     p.add_argument("--low", type=float, default=None)
     p.add_argument("--eps", type=float, default=0.1)
-    p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("sweep", help="query-scaling sweep (analytic ledgers)")
-    p.add_argument("--config", help="flat key=value config file applied as defaults")
+    p = subcommand("sweep", "query-scaling sweep over the estimator's ledger", cmd_sweep)
     p.add_argument("--n-list", dest="n_list", default=None,
                    help="comma-separated sizes, e.g. 64,128,...,16384")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--quantum", action="store_true",
                    help="quantum diagonal inputs (alpha = sqrt(n))")
-    p.add_argument("--exclude-smallest", type=int, default=2)
-    p.add_argument("--out")
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--exclude-smallest", type=int, default=FIT_EXCLUDE_SMALLEST)
 
-    p = sub.add_parser("lowerbound", help="hard-instance separation demo")
-    p.add_argument("--config", help="flat key=value config file applied as defaults")
+    p = subcommand("lowerbound", "hard-instance separation demo", cmd_lowerbound)
     p.add_argument("--kind", required=True,
                    choices=["near_deterministic", "two_point_vs_spread", "collision"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--param", type=float, required=True,
                    help="eps for the first two kinds, gamma for collision")
-    p.add_argument("--out")
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(func=cmd_lowerbound)
 
-    p = sub.add_parser("baseline", help="classical sampling baseline")
-    common(p, modes=False)
+    p = subcommand("baseline", "classical sampling baseline", cmd_baseline)
+    trials(p, modes=False)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--eta-sample", dest="eta_sample", type=float, default=0.0,
                    help="sampling exponent boost in s = n^((1+eta)/gamma^2)")
-    p.set_defaults(func=cmd_baseline)
 
     return ap
 
@@ -286,18 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.config:
-        defaults = load_config(args.config)
-        given = {tok.lstrip("-").replace("-", "_")
-                 for tok in (argv if argv is not None else sys.argv[1:])
-                 if tok.startswith("--")}
-        for key, val in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in given:
-                setattr(args, attr, val)
     try:
+        if args.config:
+            defaults = load_config(args.config)
+            given = {tok.lstrip("-").partition("=")[0].replace("-", "_")
+                     for tok in (argv if argv is not None else sys.argv[1:])
+                     if tok.startswith("--")}
+            for key, val in defaults.items():
+                attr = key.replace("-", "_")
+                if hasattr(args, attr) and attr not in given:
+                    setattr(args, attr, val)
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

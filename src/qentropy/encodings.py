@@ -164,8 +164,7 @@ class ProjectedUnitaryEncoding:
 
     `block` is a compressed dense form (may be None for spectral
     representations); `sigma` lists the encoded singular values (already the
-    block's, i.e. true value / alpha).  `delta_enc` is the encoding error (0
-    for all constructions here).
+    block's, i.e. true value / alpha).
     """
 
     sigma: np.ndarray
@@ -174,7 +173,6 @@ class ProjectedUnitaryEncoding:
     kind: str
     block: np.ndarray | None = None
     oracle: PurifiedOracle | None = None
-    delta_enc: float = 0.0
 
     def singular_values(self) -> np.ndarray:
         return self.sigma

@@ -32,13 +32,13 @@ from .encodings import (
 )
 from .logapprox import TaylorPolynomial, certify, taylor_poly_neg, taylor_poly_pos
 from .qsub import (
-    SVE_ROUNDS_FACTOR,
     M_for_precision,
     QueryLedger,
     boost_median,
     qae,
     qsve,
     qsvt_apply,
+    sve_rounds,
 )
 
 LN2 = math.log(2.0)
@@ -152,7 +152,6 @@ class LightweightResult:
     w_tilde: float
     w_true: float
     light_flags: np.ndarray
-    rounds: int
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,6 @@ class HeavyResult:
     f_plus_hat: float
     f_minus_hat: float
     heavy_flags: np.ndarray
-    rounds: int
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ def plan_estimate(enc: ProjectedUnitaryEncoding, derived: DerivedParams,
     return EstimationPlan(
         enc=enc, derived=derived, light_flags=light, heavy_flags=heavy,
         w_true=float(p[light].sum()), p_heavy=p[heavy], heavy=heavy_enc,
-        prep_cost=math.ceil(enc.alpha * SVE_ROUNDS_FACTOR * 2**derived.m_bits))
+        prep_cost=sve_rounds(enc.alpha, derived.m_bits))
 
 
 def lightweight(plan: EstimationPlan, mode: str, rng: np.random.Generator,
@@ -214,7 +212,7 @@ def lightweight(plan: EstimationPlan, mode: str, rng: np.random.Generator,
     est = qae(min(1.0, plan.w_true), derived.M_light, mode, rng, ledger,
               prep_cost_U=plan.prep_cost)
     return LightweightResult(w_tilde=est.value, w_true=plan.w_true,
-                             light_flags=plan.light_flags, rounds=est.rounds)
+                             light_flags=plan.light_flags)
 
 
 def heavy_entropy(plan: EstimationPlan, mode: str, rng: np.random.Generator,
@@ -242,8 +240,7 @@ def heavy_entropy(plan: EstimationPlan, mode: str, rng: np.random.Generator,
     f_minus = hats["minus"] / (nu_m**2 * alpha ** (2.0 * a))
     h_heavy = (f_minus - f_plus) / (2.0 * a * LN2)
     return HeavyResult(h_heavy=h_heavy, f_plus_hat=hats["plus"],
-                       f_minus_hat=hats["minus"], heavy_flags=plan.heavy_flags,
-                       rounds=derived.M_heavy)
+                       f_minus_hat=hats["minus"], heavy_flags=plan.heavy_flags)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,13 @@ from .encodings import ProjectedUnitaryEncoding
 from .logapprox import TaylorPolynomial
 
 # Cost-model constants (documented, not tunable per instance).
-SVE_ROUNDS_FACTOR = 2          # ceil(alpha * 2^(m+1)) = ceil(alpha * SVE_ROUNDS_FACTOR * 2^m)
+SVE_ROUNDS_FACTOR = 2          # an m-bit SVE runs ceil(alpha * 2^(m+1)) rounds
 STATEVECTOR_DIM_CAP = 512
+
+
+def sve_rounds(alpha: float, m_bits: int) -> int:
+    """Oracle uses (of U, and again of U-dagger) of one m-bit singular value estimation."""
+    return math.ceil(alpha * SVE_ROUNDS_FACTOR * 2**m_bits)
 
 
 @dataclass
@@ -32,7 +37,7 @@ class QueryLedger:
     extra_gates: int = 0
 
     def charge_sve(self, alpha: float, m_bits: int, repetitions: int = 1):
-        rounds = math.ceil(alpha * SVE_ROUNDS_FACTOR * 2**m_bits)
+        rounds = sve_rounds(alpha, m_bits)
         self.uses_U += rounds * repetitions
         self.uses_U_dagger += rounds * repetitions
 
@@ -102,19 +107,6 @@ def qsve(enc: ProjectedUnitaryEncoding, m_bits: int, ledger: QueryLedger,
     raise ValidationError(f"unknown qsve mode {mode!r}")
 
 
-def _qpe_outcome_distribution(theta: float, m_bits: int) -> np.ndarray:
-    """Exact outcome probabilities of m-bit phase estimation at phase theta."""
-    big = 2**m_bits
-    j = np.arange(big)
-    d = theta - j / big
-    with np.errstate(divide="ignore", invalid="ignore"):
-        probs = np.sin(big * np.pi * d) ** 2 / (big**2 * np.sin(np.pi * d) ** 2)
-    on_grid = np.isclose(np.sin(np.pi * d), 0.0, atol=1e-15)
-    probs[on_grid] = np.where(np.isclose(np.cos(np.pi * d[on_grid]) ** 2, 1.0), 1.0, 0.0)
-    s = probs.sum()
-    return probs / s
-
-
 def _qsve_statevector(enc: ProjectedUnitaryEncoding, m_bits: int) -> SVEResult:
     if enc.block is None:
         raise ValidationError("statevector qsve needs a dense block")
@@ -131,7 +123,7 @@ def _qsve_statevector(enc: ProjectedUnitaryEncoding, m_bits: int) -> SVEResult:
     big = 2 ** (m_bits + 1)
     est = np.empty_like(sig)
     for i, s in enumerate(sig):
-        probs = _qpe_outcome_distribution(0.5 * float(s), m_bits + 1)
+        _, probs = _phase_estimation(0.5 * float(s), big)
         est[i] = 2.0 * np.argmax(probs) / big
     # sig is descending, matching the descending order of enc.sigma
     return SVEResult(estimates=np.clip(enc.alpha * est, 0.0, 1.0), m_bits=m_bits,
@@ -189,13 +181,14 @@ def M_for_precision(p_hint: float, eps: float) -> int:
     return math.ceil(2.0 * math.pi * (2.0 * math.sqrt(p_hint) / eps + 1.0 / math.sqrt(eps)))
 
 
-def qae_outcome_distribution(p: float, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Support sin^2(pi j / M) and probabilities of M-round amplitude estimation.
+def _phase_estimation(theta: float, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome grid sin^2(pi j / M) and probabilities of M-point phase estimation.
 
-    M reaches millions at small error budgets, so the arrays are built in
-    place in three length-M buffers rather than through fresh temporaries.
+    P(j) = sin^2(M pi d) / (M^2 sin^2(pi d)) with d = theta - j/M, and 1
+    where d is an integer, normalized.  M reaches millions at small error
+    budgets, so the arrays are built in place in three length-M buffers
+    rather than through fresh temporaries.
     """
-    theta = math.asin(math.sqrt(p)) / math.pi
     values = np.arange(rounds, dtype=float)
     d = values / rounds
     np.subtract(theta, d, out=d)                  # d = theta - j/M
@@ -217,6 +210,11 @@ def qae_outcome_distribution(p: float, rounds: int) -> tuple[np.ndarray, np.ndar
     np.sin(values, out=values)
     np.square(values, out=values)
     return values, probs
+
+
+def qae_outcome_distribution(p: float, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Support sin^2(pi j / M) and probabilities of M-round amplitude estimation."""
+    return _phase_estimation(math.asin(math.sqrt(p)) / math.pi, rounds)
 
 
 def qae(p: float, rounds: int, mode: str, rng: np.random.Generator,

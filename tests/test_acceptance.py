@@ -220,8 +220,8 @@ def test_criterion_10_query_scaling():
             ok = ok and res.passed
             ok = ok and abs(res.slope - res.target) <= res.tolerance
             ok = ok and all(r.within_bound for r in res.rows)
-    report(10, ok, "analytic query totals scale with the advertised exponents "
-                   "and stay under the closed-form bound")
+    report(10, ok, "query totals charged by exact-mode runs scale with the "
+                   "advertised exponents and stay under the closed-form bound")
 
 
 def test_criterion_11_lower_bound_families():

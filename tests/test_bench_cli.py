@@ -6,24 +6,37 @@ import pytest
 
 from qentropy import (
     Distribution,
+    EstimatorParams,
     ValidationError,
-    analytic_query_total,
     classical_baseline,
+    estimate_entropy,
     high_entropy_distribution,
     lower_bound_demo,
     query_scaling_sweep,
     random_distribution,
     shannon_entropy,
-    total_query_bound,
+    spectral_encoding_quantum,
 )
 from qentropy.cli import main
 
 
-def test_analytic_total_grows_with_n():
-    vals = [analytic_query_total(2 ** k, 2.0, 0.1) for k in (6, 8, 10, 12)]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-    assert all(v <= total_query_bound(2 ** k, 2.0, 0.1)
-               for v, k in zip(vals, (6, 8, 10, 12)))
+def test_sweep_total_grows_with_n():
+    # exact-mode ledgers depend only on (n, gamma, eps, alpha), so a Zipf
+    # input charges what the sweep's uniform input charges
+    for quantum in (False, True):
+        res = query_scaling_sweep([2 ** k for k in range(6, 11)], 1.5, 0.1,
+                                  quantum=quantum)
+        vals = [r.queries for r in res.rows]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+        assert all(r.within_bound for r in res.rows)
+        for r in res.rows:
+            src = Distribution.zipf(r.n)
+            if quantum:
+                src = spectral_encoding_quantum(src)
+            rep = estimate_entropy(src, EstimatorParams(n=r.n, gamma=1.5, eps=0.1))
+            assert r.queries == rep.ledger["total_queries"]
+        # golden totals at n=64
+        assert vals[0] == (6486444 if quantum else 783768)
 
 
 def test_sweep_short_range_fields():
@@ -105,11 +118,18 @@ def test_cli_estimate_check_pass_and_fail(tmp_path):
                     "--check", "--out", str(tmp_path / "a.jsonl")]) == 0
 
 
-def test_cli_invalid_args_exit_2(tmp_path):
+def test_cli_invalid_args_exit_2(tmp_path, capsys):
     assert run_cli(["estimate", "--gen", "uniform:n=64", "--gamma", "0.5",
                     "--out", str(tmp_path / "x.jsonl")]) == 2
-    assert run_cli(["estimate", "--gen", "nosuch:n=64", "--gamma", "2.0",
-                    "--out", str(tmp_path / "y.jsonl")]) == 2
+    for gen in ("nosuch:n=64", "zipf:n=", "zipf:n=64,bogus=3"):
+        assert run_cli(["estimate", "--gen", gen, "--gamma", "2.0",
+                        "--out", str(tmp_path / "y.jsonl")]) == 2
+    (tmp_path / "bad.json").write_text('{"probs": [0.5,')
+    for name in ("missing.json", "bad.json"):
+        assert run_cli(["estimate", "--input", str(tmp_path / name),
+                        "--gamma", "2.0"]) == 2
+    assert run_cli(["sweep", "--n-list", "64,abc", "--gamma", "2.0"]) == 2
+    assert "'bogus'" in capsys.readouterr().err
 
 
 def test_cli_input_file_round_trip(tmp_path):
@@ -159,3 +179,12 @@ def test_cli_config_file(tmp_path):
     assert run_cli(["estimate", "--gen", "uniform:n=64", "--config",
                     str(cfg), "--out", str(out)]) == 0
     assert len(out.read_text().strip().splitlines()) == 2
+    # a config given before the subcommand still applies
+    assert run_cli(["--config", str(cfg), "estimate", "--gen", "uniform:n=64",
+                    "--out", str(out)]) == 0
+    assert len(out.read_text().strip().splitlines()) == 2
+    # a flag given as --name=value beats the config file
+    cfg.write_text("gamma = 3.0\n")
+    assert run_cli(["estimate", "--gen", "uniform:n=64", "--gamma=2",
+                    "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[0])["gamma"] == 2.0
