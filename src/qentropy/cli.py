@@ -103,10 +103,15 @@ def load_input(path: str):
             rec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path} is not valid JSON: {exc}") from None
-    if "probs" in rec:
-        return Distribution.from_record(rec)
-    if "re" in rec:
-        return DensityMatrix.from_record(rec)
+    if not isinstance(rec, dict):
+        raise ValidationError(f"{path} must hold a JSON object, not {type(rec).__name__}")
+    try:
+        if "probs" in rec:
+            return Distribution.from_record(rec)
+        if "re" in rec:
+            return DensityMatrix.from_record(rec)
+    except KeyError as exc:
+        raise ValidationError(f"{path} lacks the field {exc}") from None
     raise ValidationError("input file is neither a distribution nor a density matrix")
 
 
@@ -178,7 +183,7 @@ def cmd_additive(args) -> int:
 def cmd_threshold(args) -> int:
     _require(args, "high", "low")
     mode, _ = MODE_MAP[args.mode]
-    records = []
+    records, ok = [], True
     for seed in _seeds(args):
         src = _resolve_source(args, seed)
         rep = entropy_threshold_test(src, args.high, args.low, eps=args.eps,
@@ -188,8 +193,11 @@ def cmd_threshold(args) -> int:
             "high": rep.high, "h_tilde": rep.h_tilde, "gamma": rep.gamma,
             "cut": rep.cut, "seed": seed, "n": rep.estimate.n,
         })
+        # nothing to check when H lies strictly inside the gap (low, high)
+        h = rep.estimate.h_true
+        ok = ok and not ((h >= args.high and not rep.high) or (h <= args.low and rep.high))
     _emit(records, args.out)
-    return EXIT_OK
+    return EXIT_OK if (ok or not args.check) else EXIT_CHECK_FAILED
 
 
 def cmd_sweep(args) -> int:
@@ -216,15 +224,16 @@ def cmd_lowerbound(args) -> int:
 
 def cmd_baseline(args) -> int:
     _require(args, "gamma")
-    records = []
+    records, ok = [], True
     for seed in _seeds(args):
         src = _resolve_source(args, seed)
         if not isinstance(src, Distribution):
             raise ValidationError("baseline runs on distributions only")
         rep = classical_baseline(src, args.gamma, eta=args.eta_sample, seed=seed)
         records.append(rep.to_record())
+        ok = ok and rep.h_true / args.gamma <= rep.h_hat <= args.gamma * rep.h_true
     _emit(records, args.out)
-    return EXIT_OK
+    return EXIT_OK if (ok or not args.check) else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

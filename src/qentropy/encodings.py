@@ -1,12 +1,16 @@
 """Purified-query oracles and projected unitary encodings.
 
-Oracles are dense unitaries preparing a purification from the all-zeros
-state.  Encodings expose the projected block Pi W Pi~ in a compressed form
-whose singular values carry sqrt(p_i) (classical, scale 1), sqrt(p_i / n)
-(quantum purified access, scale sqrt(n)), or the density matrix itself
-(SWAP trick, scale 1).  For sizes where dense matrices are impractical a
-spectral representation (singular value list only) is provided and is
-bit-compatible with the dense path.
+Oracles prepare a purification from the all-zeros state.  Each is stored
+as the unit vector w of its Householder reflector U = I - 2 w w^dag, so the
+prepared state and the unitarity residual cost O(d) for total dimension d;
+the d x d matrix is built only when `unitary` is read.
+
+Encodings expose the projected block Pi W Pi~ in a compressed form whose
+singular values carry sqrt(p_i) (classical, scale 1), sqrt(p_i / n) (quantum
+purified access, scale sqrt(n)), or the density matrix itself (SWAP trick,
+scale 1).  For sizes where dense matrices are impractical a spectral
+representation (singular value list only) is provided and is bit-compatible
+with the dense path.
 """
 from __future__ import annotations
 
@@ -17,12 +21,12 @@ import numpy as np
 
 from .dists import DensityMatrix, Distribution, ValidationError
 
-DENSE_ORACLE_CAP = 4096      # max total dimension for a dense oracle unitary
+DENSE_ORACLE_CAP = 16384     # max total dimension of an oracle's registers
 DENSE_UNITARY_CAP = 1024     # max total dimension for fully dense 3-register checks
 
 
-def _householder_completion(v: np.ndarray) -> np.ndarray:
-    """Unitary whose first column is v (unit vector), via a Householder reflector."""
+def _householder_completion(v: np.ndarray) -> np.ndarray | None:
+    """Unit vector w with (I - 2 w w^dag) e0 = v for a unit vector v; None if v = e0."""
     d = v.size
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ValidationError("column to complete must be a unit vector")
@@ -31,31 +35,43 @@ def _householder_completion(v: np.ndarray) -> np.ndarray:
     w = e0 - v
     nw = np.linalg.norm(w)
     if nw < 1e-14:
-        return np.eye(d, dtype=complex)
-    w = w / nw
-    return np.eye(d, dtype=complex) - 2.0 * np.outer(w, w.conj())
+        return None
+    return w / nw
 
 
 @dataclass
 class PurifiedOracle:
     """A unitary preparing a purification of a distribution or density matrix.
 
-    `register_dims` is (d0, d1); the prepared state `unitary[:, 0]` reshaped
-    to (d0, d1) purifies the target after tracing out `ancilla_axis`.
+    The unitary is the Householder reflector I - 2 w w^dag on `dim` levels,
+    stored as `reflector` = w (None for the identity).  `register_dims` is
+    (d0, d1); the prepared state, the unitary's first column, reshaped to
+    (d0, d1) purifies the target after tracing out `ancilla_axis`.
     """
 
-    unitary: np.ndarray
+    reflector: np.ndarray | None
+    dim: int
     register_dims: tuple
     ancilla_axis: int
     kind: str  # "classical" | "quantum" | "frequency"
     meta: dict = field(default_factory=dict)
 
     @property
-    def dim(self) -> int:
-        return int(self.unitary.shape[0])
+    def unitary(self) -> np.ndarray:
+        """The dense dim x dim unitary, built on every access."""
+        u = np.eye(self.dim, dtype=complex)
+        if self.reflector is None:
+            return u
+        w = self.reflector
+        return u - 2.0 * np.outer(w, w.conj())
 
     def prepared_state(self) -> np.ndarray:
-        return self.unitary[:, 0]
+        e0 = np.zeros(self.dim, dtype=complex)
+        e0[0] = 1.0
+        if self.reflector is None:
+            return e0
+        w = self.reflector
+        return e0 - 2.0 * (w * np.conj(w[0]))
 
     def reduced_state(self) -> np.ndarray:
         """Partial trace of the prepared pure state over the ancilla register."""
@@ -65,19 +81,24 @@ class PurifiedOracle:
         return np.einsum("ia,ja->ij", psi, psi.conj())
 
     def unitarity_residual(self) -> float:
-        u = self.unitary
-        return float(np.abs(u.conj().T @ u - np.eye(self.dim)).max())
+        """max |U^dag U - I|, exactly 4 |(|w|^2 - 1)| max_i |w_i|^2 for U = I - 2 w w^dag."""
+        w = self.reflector
+        if w is None:
+            return 0.0
+        mag2 = np.abs(w) ** 2
+        return float(4.0 * abs(mag2.sum() - 1.0) * mag2.max())
 
 
 def build_purified_oracle_classical(p: Distribution) -> PurifiedOracle:
     """Two-register oracle with U|00> = sum_i sqrt(p_i) |i>|i>."""
     n = p.n
     if n * n > DENSE_ORACLE_CAP:
-        raise ValidationError(f"dense classical oracle needs n^2 <= {DENSE_ORACLE_CAP}")
+        raise ValidationError(f"classical oracle needs n^2 <= {DENSE_ORACLE_CAP}")
     v = np.zeros(n * n, dtype=complex)
     v[np.arange(n) * n + np.arange(n)] = np.sqrt(p.probs)
     return PurifiedOracle(
-        unitary=_householder_completion(v),
+        reflector=_householder_completion(v),
+        dim=v.size,
         register_dims=(n, n),
         ancilla_axis=0,
         kind="classical",
@@ -89,13 +110,14 @@ def build_purified_oracle_quantum(rho: DensityMatrix) -> PurifiedOracle:
     """Oracle with U|00> = sum_i sqrt(p_i) |psi_i>|i> for rho = sum p_i |psi_i><psi_i|."""
     n = rho.n
     if n * n > DENSE_ORACLE_CAP:
-        raise ValidationError(f"dense quantum oracle needs n^2 <= {DENSE_ORACLE_CAP}")
+        raise ValidationError(f"quantum oracle needs n^2 <= {DENSE_ORACLE_CAP}")
     ev, vec = np.linalg.eigh(rho.mat)
     ev = np.where(ev < 1e-12, 0.0, ev)
     ev = ev / ev.sum()
     psi = (vec * np.sqrt(ev)).astype(complex)  # psi[s, i] = sqrt(p_i) <s|psi_i>
     return PurifiedOracle(
-        unitary=_householder_completion(psi.reshape(-1)),
+        reflector=_householder_completion(psi.reshape(-1)),
+        dim=psi.size,
         register_dims=(n, n),
         ancilla_axis=1,
         kind="quantum",
@@ -139,14 +161,15 @@ def build_frequency_oracle(vec: FrequencyVector) -> PurifiedOracle:
     """
     m, n = vec.m, vec.n
     if m * n > DENSE_ORACLE_CAP:
-        raise ValidationError(f"dense frequency oracle needs m*n <= {DENSE_ORACLE_CAP}")
+        raise ValidationError(f"frequency oracle needs m*n <= {DENSE_ORACLE_CAP}")
     counts = vec.counts()
     v = np.zeros(m * n, dtype=complex)
     for j, lab in enumerate(vec.values):
         # amplitude sqrt(c/m) * 1/sqrt(c) = 1/sqrt(m) at (position j, label lab)
         v[j * n + lab] = 1.0 / math.sqrt(m)
     return PurifiedOracle(
-        unitary=_householder_completion(v),
+        reflector=_householder_completion(v),
+        dim=v.size,
         register_dims=(m, n),
         ancilla_axis=0,
         kind="frequency",

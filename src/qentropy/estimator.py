@@ -123,6 +123,9 @@ def derive_params(params: EstimatorParams, alpha: float = 1.0,
         gamma_prime = 1.0
         gamma_heavy = gamma
     a = math.log(gamma_heavy) / math.log(1.0 / beta_prime)
+    if a > 1.0:
+        raise ValidationError(f"gamma={gamma} is too large for n={n}: the power "
+                              f"exponent a={a:.4g} exceeds 1")
     log_inv_beta = math.log(1.0 / beta_prime)
     eps1 = eps / logn**2
     eps2 = eps * math.log(gamma) / (2.0 * n * math.sqrt(gamma) * log_inv_beta)

@@ -125,7 +125,9 @@ def test_cli_invalid_args_exit_2(tmp_path, capsys):
         assert run_cli(["estimate", "--gen", gen, "--gamma", "2.0",
                         "--out", str(tmp_path / "y.jsonl")]) == 2
     (tmp_path / "bad.json").write_text('{"probs": [0.5,')
-    for name in ("missing.json", "bad.json"):
+    (tmp_path / "scalar.json").write_text("5")
+    (tmp_path / "no_n.json").write_text('{"probs": [0.5, 0.5]}')
+    for name in ("missing.json", "bad.json", "scalar.json", "no_n.json"):
         assert run_cli(["estimate", "--input", str(tmp_path / name),
                         "--gamma", "2.0"]) == 2
     assert run_cli(["sweep", "--n-list", "64,abc", "--gamma", "2.0"]) == 2
@@ -151,6 +153,13 @@ def test_cli_additive_and_threshold(tmp_path):
                     "--low", "3", "--out", str(t_out)]) == 0
     rec = json.loads(t_out.read_text().splitlines()[0])
     assert rec["high"] is True
+    # --check: H = 6 <= low decided low passes; H = 8 = high decided low
+    # (h_tilde = 4 sits exactly on the cut) fails; H inside the gap checks nothing
+    for gen, high, low, code in (("uniform:n=64", "100", "50", 0),
+                                 ("uniform:n=256", "8", "2", 3),
+                                 ("uniform:n=256", "9", "7", 0)):
+        assert run_cli(["threshold", "--gen", gen, "--high", high, "--low", low,
+                        "--check", "--out", str(t_out)]) == code
 
 
 def test_cli_sweep_csv(tmp_path):
@@ -170,6 +179,11 @@ def test_cli_lowerbound_and_baseline(tmp_path):
                     "--check"]) == 0
     assert run_cli(["baseline", "--gen", "zipf:n=128", "--gamma", "2.0",
                     "--out", str(tmp_path / "b.jsonl")]) == 0
+    # --check: h_hat must lie in [H/gamma, gamma*H]; two samples of a uniform
+    # n=64 give h_hat = 1 bit against H/gamma = 3
+    for gen, eta, code in (("zipf:n=256", "3", 0), ("uniform:n=64", "-0.9", 3)):
+        assert run_cli(["baseline", "--gen", gen, "--gamma", "2.0", "--eta-sample", eta,
+                        "--check", "--out", str(tmp_path / "b.jsonl")]) == code
 
 
 def test_cli_config_file(tmp_path):

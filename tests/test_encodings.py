@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qentropy import (
     DensityMatrix,
     Distribution,
+    EstimatorParams,
     FrequencyVector,
     ValidationError,
     block_encoding_density_swap,
     build_frequency_oracle,
     build_purified_oracle_classical,
     build_purified_oracle_quantum,
+    estimate_entropy,
     projected_encoding_classical,
     projected_encoding_quantum,
     spectral_encoding_classical,
@@ -120,3 +124,76 @@ def test_verify_encoding_report():
     assert rep.max_sv_deviation < 1e-10
     bad = verify_encoding(enc, np.sqrt(p.probs) + 1e-3, tol=1e-10)
     assert not bad.ok
+
+
+def small_oracles():
+    rng = np.random.default_rng(12)
+    quantum = build_purified_oracle_quantum(DensityMatrix.random(6, rng))
+    return [
+        build_purified_oracle_classical(rand_dist(7, 13)),
+        quantum,
+        # a global phase on w leaves the unitary unchanged and makes w[0] complex
+        dataclasses.replace(quantum, reflector=quantum.reflector * np.exp(0.3j)),
+        build_frequency_oracle(FrequencyVector((0, 2, 2, 4, 1), 5)),
+    ]
+
+
+def dense_residual(u):
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+
+
+def test_reflector_residual_matches_dense_unitary():
+    for orc in small_oracles():
+        assert orc.reflector.shape == (orc.dim,)
+        u = orc.unitary
+        assert u.shape == (orc.dim, orc.dim)
+        assert orc.unitarity_residual() < 1e-12
+        assert dense_residual(u) < 1e-12
+        # the unitary's first column is the prepared state, bit for bit
+        assert u[:, 0].tobytes() == orc.prepared_state().tobytes()
+
+
+def test_non_unit_reflector_fails_verification():
+    orc = build_purified_oracle_classical(rand_dist(7, 13))
+    bad = dataclasses.replace(orc, reflector=orc.reflector * (1.0 + 1e-6))
+    resid = bad.unitarity_residual()
+    assert resid == pytest.approx(dense_residual(bad.unitary), rel=1e-6)
+    assert 1e-6 < resid < 1e-5
+    rep = verify_encoding(projected_encoding_classical(bad),
+                          np.sqrt(orc.meta["probs"]), tol=1e-10)
+    assert not rep.ok
+    assert rep.unitarity_residual == resid
+
+
+def test_point_mass_at_zero_is_identity_oracle():
+    orc = build_purified_oracle_classical(Distribution.point_mass(5, 0))
+    assert orc.reflector is None
+    e0 = np.zeros(orc.dim, dtype=complex)
+    e0[0] = 1.0
+    assert np.array_equal(orc.prepared_state(), e0)
+    assert orc.unitarity_residual() == 0.0
+    assert np.array_equal(orc.unitary, np.eye(orc.dim))
+
+
+@pytest.mark.parametrize("route", ["classical", "quantum"])
+def test_oracle_at_n128_matches_spectral_route(route):
+    n = 128
+    rng = np.random.default_rng(21)
+    if route == "classical":
+        p = rand_dist(n, 21)
+        orc = build_purified_oracle_classical(p)
+        enc = projected_encoding_classical(orc)
+        spectral, expected = spectral_encoding_classical(p), np.sqrt(p.probs)
+    else:
+        rho = DensityMatrix.random(n, rng)
+        orc = build_purified_oracle_quantum(rho)
+        enc = projected_encoding_quantum(orc)
+        spec = rho.spectrum()
+        spectral, expected = spectral_encoding_quantum(spec), np.sqrt(spec.probs / n)
+    assert orc.dim == n * n
+    assert verify_encoding(enc, expected).ok
+    params = EstimatorParams(n=n, gamma=2.0)
+    got = estimate_entropy(orc, params, mode="sampled", seed=3)
+    want = estimate_entropy(spectral, params, mode="sampled", seed=3)
+    assert got.h_tilde == want.h_tilde
+    assert got.ledger == want.ledger

@@ -31,6 +31,10 @@ def test_params_validation():
         EstimatorParams(n=16, gamma=1.0)
     with pytest.raises(ValidationError):
         EstimatorParams(n=16, gamma=2.0, eps=0.0)
+    for n in (2, 4):
+        # m = 1 gives the exponent a = ln(gamma) / ln(4), above 1 for gamma 5
+        with pytest.raises(ValidationError, match=rf"gamma=5.0 .* n={n}: .* a=1.161 "):
+            derive_params(EstimatorParams(n=n, gamma=5.0))
 
 
 def test_eta_mode_sets_eps():
