@@ -11,8 +11,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .dists import DensityMatrix, Distribution, ValidationError
 from .bench import (
     FIT_EXCLUDE_SMALLEST,
@@ -39,6 +37,8 @@ MODE_MAP = {
     "sampled": ("sampled", "ideal_svd"),
     "statevector": ("exact", "statevector_qpe"),
 }
+# additive and threshold build no dense block, so they run the ideal SVD only
+IDEAL_SVD_MODES = sorted(m for m, (_, sve) in MODE_MAP.items() if sve == "ideal_svd")
 
 GEN_KEYS = {  # generator name -> the spec keys it reads
     "uniform": {"n"},
@@ -49,20 +49,21 @@ GEN_KEYS = {  # generator name -> the spec keys it reads
 }
 
 
-def load_config(path: str) -> dict:
-    """Flat key=value configuration file; values parsed as JSON when possible."""
-    out = {}
+def config_flags(path: str) -> list[str]:
+    """A flat `key = value` file as flags; `true` gives a bare flag, `false` none."""
+    flags = []
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
+            key, _, val = (tok.strip() for tok in line.partition("="))
+            if not key or key.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
             try:
-                out[key.strip()] = json.loads(val.strip())
+                val = json.loads(val)
             except json.JSONDecodeError:
-                out[key.strip()] = val.strip()
-    return out
+                pass
+            if val is not False:
+                flags += ["--" + key.replace("_", "-")] + ([] if val is True else [str(val)])
+    return flags
 
 
 def parse_gen(spec: str, seed: int = 0):
@@ -116,9 +117,9 @@ def load_input(path: str):
 
 
 def _resolve_source(args, seed: int):
-    if getattr(args, "input", None):
+    if args.input:
         return load_input(args.input)
-    if getattr(args, "gen", None):
+    if args.gen:
         return parse_gen(args.gen, seed)
     raise ValidationError("provide --input or --gen")
 
@@ -135,73 +136,59 @@ def _emit(records, out_path):
     _write("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n", out_path)
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise ValidationError(f"{flag} is required (flag or config file)")
-
-
-def _seeds(args):
-    return list(range(args.seeds)) if args.trials is None else \
-        [args.seeds + t for t in range(args.trials)]
-
-
-def cmd_estimate(args) -> int:
-    _require(args, "gamma")
-    mode, sve_mode = MODE_MAP[args.mode]
-    records, ok = [], True
-    for seed in _seeds(args):
-        src = _resolve_source(args, seed)
-        params = EstimatorParams(n=src.n, gamma=args.gamma, eps=args.eps,
-                                 eta=args.eta)
-        rep = estimate_entropy(src, params, mode=mode, seed=seed,
-                               repetitions=args.repetitions, sve_mode=sve_mode)
-        records.append(rep.to_record())
-        ok = ok and rep.within_guarantee
-    _emit(records, args.out)
+def _exit_code(args, ok: bool) -> int:
     return EXIT_OK if (ok or not args.check) else EXIT_CHECK_FAILED
 
 
+def _trials(args, trial) -> int:
+    """Run trial(src, seed) -> (record, ok) at each seed and write the records."""
+    first, count = (0, args.seeds) if args.trials is None else (args.seeds, args.trials)
+    results = [trial(_resolve_source(args, seed), seed)
+               for seed in range(first, first + count)]
+    _emit([rec for rec, _ in results], args.out)
+    return _exit_code(args, all(ok for _, ok in results))
+
+
+def cmd_estimate(args) -> int:
+    mode, sve_mode = MODE_MAP[args.mode]
+
+    def trial(src, seed):
+        params = EstimatorParams(n=src.n, gamma=args.gamma, eps=args.eps, eta=args.eta)
+        rep = estimate_entropy(src, params, mode=mode, seed=seed,
+                               repetitions=args.repetitions, sve_mode=sve_mode)
+        return rep.to_record(), rep.within_guarantee
+    return _trials(args, trial)
+
+
 def cmd_additive(args) -> int:
-    _require(args, "eps_add")
     mode, _ = MODE_MAP[args.mode]
-    records, ok = [], True
-    for seed in _seeds(args):
-        src = _resolve_source(args, seed)
+
+    def trial(src, seed):
         rep = estimate_additive(src, args.eps_add, mode=mode, seed=seed,
                                 repetitions=args.repetitions)
         rec = rep.to_record()
         rec["eps_add"] = args.eps_add
         rec["additive_error"] = abs(rep.h_tilde - rep.h_true)
-        records.append(rec)
-        ok = ok and rec["additive_error"] <= args.eps_add
-    _emit(records, args.out)
-    return EXIT_OK if (ok or not args.check) else EXIT_CHECK_FAILED
+        return rec, rec["additive_error"] <= args.eps_add
+    return _trials(args, trial)
 
 
 def cmd_threshold(args) -> int:
-    _require(args, "high", "low")
     mode, _ = MODE_MAP[args.mode]
-    records, ok = [], True
-    for seed in _seeds(args):
-        src = _resolve_source(args, seed)
+
+    def trial(src, seed):
         rep = entropy_threshold_test(src, args.high, args.low, eps=args.eps,
                                      mode=mode, seed=seed,
                                      repetitions=args.repetitions)
-        records.append({
-            "high": rep.high, "h_tilde": rep.h_tilde, "gamma": rep.gamma,
-            "cut": rep.cut, "seed": seed, "n": rep.estimate.n,
-        })
+        rec = {"high": rep.high, "h_tilde": rep.h_tilde, "gamma": rep.gamma,
+               "cut": rep.cut, "seed": seed, "n": rep.estimate.n}
         # nothing to check when H lies strictly inside the gap (low, high)
         h = rep.estimate.h_true
-        ok = ok and not ((h >= args.high and not rep.high) or (h <= args.low and rep.high))
-    _emit(records, args.out)
-    return EXIT_OK if (ok or not args.check) else EXIT_CHECK_FAILED
+        return rec, not ((h >= args.high and not rep.high) or (h <= args.low and rep.high))
+    return _trials(args, trial)
 
 
 def cmd_sweep(args) -> int:
-    _require(args, "gamma", "n_list")
     try:
         ns = [int(x) for x in args.n_list.split(",")]
     except ValueError:
@@ -209,7 +196,7 @@ def cmd_sweep(args) -> int:
     res = query_scaling_sweep(ns, args.gamma, args.eps, quantum=args.quantum,
                               exclude_smallest=args.exclude_smallest)
     _write(res.to_csv(), args.out)
-    return EXIT_OK if (res.passed or not args.check) else EXIT_CHECK_FAILED
+    return _exit_code(args, res.passed)
 
 
 def cmd_lowerbound(args) -> int:
@@ -219,40 +206,38 @@ def cmd_lowerbound(args) -> int:
     if demo.chain:
         rec["chain"] = demo.chain
     _emit([rec], args.out)
-    return EXIT_OK if (demo.passed or not args.check) else EXIT_CHECK_FAILED
+    return _exit_code(args, demo.passed)
 
 
 def cmd_baseline(args) -> int:
-    _require(args, "gamma")
-    records, ok = [], True
-    for seed in _seeds(args):
-        src = _resolve_source(args, seed)
+    def trial(src, seed):
         if not isinstance(src, Distribution):
             raise ValidationError("baseline runs on distributions only")
         rep = classical_baseline(src, args.gamma, eta=args.eta_sample, seed=seed)
-        records.append(rep.to_record())
-        ok = ok and rep.h_true / args.gamma <= rep.h_hat <= args.gamma * rep.h_true
-    _emit(records, args.out)
-    return EXIT_OK if (ok or not args.check) else EXIT_CHECK_FAILED
+        return rep.to_record(), rep.h_true / args.gamma <= rep.h_hat <= args.gamma * rep.h_true
+    return _trials(args, trial)
+
+
+# Finds --config on either side of the subcommand; also the main parser's parent.
+CONFIG = argparse.ArgumentParser(prog="qentropy-bench", add_help=False)
+CONFIG.add_argument("--config", help="flat key = value file whose entries are read as "
+                    "flags placed before the command line's own")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qentropy-bench",
+    ap = argparse.ArgumentParser(prog="qentropy-bench", parents=[CONFIG],
                                  description="entropy-estimation benchmarks")
-    ap.add_argument("--config", help="flat key=value config file applied as defaults")
     sub = ap.add_subparsers(dest="task", required=True)
 
     def subcommand(name, help, func):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        p.add_argument("--config", default=argparse.SUPPRESS,
-                       help="flat key=value config file applied as defaults")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--check", action="store_true",
                        help="exit 3 if a guarantee/check fails")
         return p
 
-    def trials(p, modes=True):
+    def trials(p, modes):
         p.add_argument("--input", help="JSON distribution or density matrix")
         p.add_argument("--gen", help="generator spec, e.g. dirichlet:n=64,seed=3")
         p.add_argument("--seeds", type=int, default=1,
@@ -262,28 +247,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--repetitions", type=int, default=1,
                        help="odd median-boosting count")
         if modes:
-            p.add_argument("--mode", choices=sorted(MODE_MAP), default="ideal")
+            p.add_argument("--mode", choices=modes, default="ideal")
 
     p = subcommand("estimate", "multiplicative entropy estimate", cmd_estimate)
-    trials(p)
-    p.add_argument("--gamma", type=float, default=None)
+    trials(p, sorted(MODE_MAP))
+    p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--eta", type=float, default=None)
 
     p = subcommand("additive", "additive-error estimate", cmd_additive)
-    trials(p)
-    p.add_argument("--eps-add", dest="eps_add", type=float, default=None)
+    trials(p, IDEAL_SVD_MODES)
+    p.add_argument("--eps-add", dest="eps_add", type=float, required=True)
 
     p = subcommand("threshold", "entropy threshold test", cmd_threshold)
-    trials(p)
-    p.add_argument("--high", type=float, default=None)
-    p.add_argument("--low", type=float, default=None)
+    trials(p, IDEAL_SVD_MODES)
+    p.add_argument("--high", type=float, required=True)
+    p.add_argument("--low", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.1)
 
     p = subcommand("sweep", "query-scaling sweep over the estimator's ledger", cmd_sweep)
-    p.add_argument("--n-list", dest="n_list", default=None,
+    p.add_argument("--n-list", dest="n_list", required=True,
                    help="comma-separated sizes, e.g. 64,128,...,16384")
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--quantum", action="store_true",
                    help="quantum diagonal inputs (alpha = sqrt(n))")
@@ -297,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="eps for the first two kinds, gamma for collision")
 
     p = subcommand("baseline", "classical sampling baseline", cmd_baseline)
-    trials(p, modes=False)
-    p.add_argument("--gamma", type=float, default=None)
+    trials(p, None)
+    p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--eta-sample", dest="eta_sample", type=float, default=0.0,
                    help="sampling exponent boost in s = n^((1+eta)/gamma^2)")
 
@@ -307,17 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        if args.config:
-            defaults = load_config(args.config)
-            given = {tok.lstrip("-").partition("=")[0].replace("-", "_")
-                     for tok in (argv if argv is not None else sys.argv[1:])
-                     if tok.startswith("--")}
-            for key, val in defaults.items():
-                attr = key.replace("-", "_")
-                if hasattr(args, attr) and attr not in given:
-                    setattr(args, attr, val)
+        pre, argv = CONFIG.parse_known_args(sys.argv[1:] if argv is None else argv)
+        if pre.config:
+            # the top-level parser has no flag but --config, so the first bare
+            # token is the subcommand; the command line's flags follow the config's
+            task = next((k for k, tok in enumerate(argv) if not tok.startswith("-")), len(argv))
+            argv[task + 1:task + 1] = config_flags(pre.config)
+        args = ap.parse_args(argv)
         return args.func(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

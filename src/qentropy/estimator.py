@@ -44,6 +44,7 @@ from .qsub import (
 LN2 = math.log(2.0)
 TOTAL_BOUND_CONSTANT = 5000.0  # calibrated constant in the total-query bound
 GAMMA_DEGENERATE_TOL = 1e-9
+CERT_GRID_POINTS = 4001  # grid on which the power polynomials are certified
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,7 @@ class DerivedParams:
 
 
 def derive_params(params: EstimatorParams, alpha: float = 1.0,
-                  m_bits: int | None = None, build_polys: bool = True,
-                  grid_points: int = 4001) -> DerivedParams:
+                  m_bits: int | None = None, build_polys: bool = True) -> DerivedParams:
     """Derive threshold, exponent, error budgets, polynomials, and QAE rounds.
 
     sqrt(beta') = 2^-m with m = ceil(log2(n) / (2*gamma^2)), so that
@@ -141,8 +141,8 @@ def derive_params(params: EstimatorParams, alpha: float = 1.0,
     if build_polys:
         derived.poly_pos = taylor_poly_pos(a, delta, eps2)
         derived.poly_neg = taylor_poly_neg(a, delta, eps2)
-        certify(derived.poly_pos, grid_points)
-        certify(derived.poly_neg, grid_points)
+        certify(derived.poly_pos, CERT_GRID_POINTS)
+        certify(derived.poly_neg, CERT_GRID_POINTS)
     return derived
 
 
@@ -278,8 +278,12 @@ class EstimateReport:
         return rec
 
 
-def _resolve_encoding(source, dense: bool | None = None):
-    """Map a distribution / density matrix / oracle onto (encoding, H_true)."""
+def _resolve_encoding(source, dense: bool = False):
+    """Map a distribution / density matrix / oracle onto (encoding, H_true).
+
+    `dense` builds a distribution's or density matrix's purified oracle and
+    keeps its dense block, which only statevector SVE reads.
+    """
     if isinstance(source, Distribution):
         if dense:
             enc = projected_encoding_classical(build_purified_oracle_classical(source))
@@ -321,7 +325,7 @@ def check_guarantee(h_tilde: float, h_true: float, gamma: float, eps: float) -> 
 
 def estimate_entropy(source, params: EstimatorParams, mode: str = "exact",
                      seed: int = 0, repetitions: int = 1,
-                     sve_mode: str = "ideal_svd", dense: bool | None = None,
+                     sve_mode: str = "ideal_svd",
                      derived: DerivedParams | None = None) -> EstimateReport:
     """Full estimator: light mass + heavy power sums, optionally median-boosted.
 
@@ -329,8 +333,10 @@ def estimate_entropy(source, params: EstimatorParams, mode: str = "exact",
     bound_only (adversarial within each error bound), sampled (exact
     outcome distribution).  `repetitions` (odd) applies median boosting to
     the final estimate; the ledger accumulates over all repetitions.
+    `sve_mode` "statevector_qpe" runs phase estimation on the dense block,
+    so it takes small inputs only.
     """
-    enc, h_true = _resolve_encoding(source, dense)
+    enc, h_true = _resolve_encoding(source, sve_mode == "statevector_qpe")
     return _estimate(enc, h_true, params, mode, seed, repetitions, sve_mode, derived)
 
 

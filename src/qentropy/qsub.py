@@ -36,25 +36,19 @@ class QueryLedger:
     controlled_U: int = 0
     extra_gates: int = 0
 
-    def charge_sve(self, alpha: float, m_bits: int, repetitions: int = 1):
+    def charge_sve(self, alpha: float, m_bits: int):
         rounds = sve_rounds(alpha, m_bits)
-        self.uses_U += rounds * repetitions
-        self.uses_U_dagger += rounds * repetitions
+        self.uses_U += rounds
+        self.uses_U_dagger += rounds
 
-    def charge_svt(self, degree: int, ancilla_count: int, repetitions: int = 1):
-        self.uses_U += degree * repetitions
-        self.uses_U_dagger += degree * repetitions
-        self.controlled_U += repetitions
-        self.extra_gates += (ancilla_count + 1) * degree * repetitions
+    def charge_svt(self, degree: int, ancilla_count: int):
+        self.uses_U += degree
+        self.uses_U_dagger += degree
+        self.controlled_U += 1
+        self.extra_gates += (ancilla_count + 1) * degree
 
     def total_queries(self) -> int:
         return self.uses_U + self.uses_U_dagger
-
-    def merge(self, other: "QueryLedger"):
-        self.uses_U += other.uses_U
-        self.uses_U_dagger += other.uses_U_dagger
-        self.controlled_U += other.controlled_U
-        self.extra_gates += other.extra_gates
 
     def snapshot(self) -> dict:
         return {
@@ -138,20 +132,13 @@ def qsvt_apply(enc: ProjectedUnitaryEncoding, poly: TaylorPolynomial,
                ledger: QueryLedger) -> ProjectedUnitaryEncoding:
     """Transform the encoding's singular values by poly(sigma/alpha).
 
-    Returns a new encoding (alpha 1) with singular values poly(sigma_i) and,
-    when a dense block is available, the transformed matrix V f(Sigma) V^dag
-    acting on the right singular basis (even-polynomial semantics).
+    Returns a new encoding (alpha 1, no dense block) with singular values
+    |poly(sigma_i)|.
     """
     ledger.charge_svt(poly.degree, enc.ancilla_count)
-    new_sigma = np.abs(poly(enc.sigma))
-    block = None
-    if enc.block is not None:
-        _, s, vh = np.linalg.svd(enc.block)
-        vals = poly(s)
-        block = (vh.conj().T * vals) @ vh
     return ProjectedUnitaryEncoding(
-        sigma=np.asarray(new_sigma), alpha=1.0, ancilla_count=enc.ancilla_count,
-        kind=f"{enc.kind}:svt", block=block, oracle=enc.oracle,
+        sigma=np.abs(poly(enc.sigma)), alpha=1.0, ancilla_count=enc.ancilla_count,
+        kind=f"{enc.kind}:svt", oracle=enc.oracle,
     )
 
 
@@ -218,8 +205,7 @@ def qae_outcome_distribution(p: float, rounds: int) -> tuple[np.ndarray, np.ndar
 
 
 def qae(p: float, rounds: int, mode: str, rng: np.random.Generator,
-        ledger: QueryLedger, prep_cost_U: int = 1,
-        prep_ancillas: int = 0) -> AmplitudeEstimate:
+        ledger: QueryLedger, prep_cost_U: int = 1) -> AmplitudeEstimate:
     """Estimate amplitude p with M Grover rounds.
 
     exact: returns p itself.  bound_only: seeded uniform perturbation within

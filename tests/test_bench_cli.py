@@ -111,6 +111,12 @@ def test_cli_estimate_jsonl(tmp_path, capsys):
     rec = json.loads(lines[0])
     assert rec["n"] == 64
     assert list(rec.keys()) == sorted(rec.keys())
+    # statevector mode builds the dense block it needs
+    assert run_cli(["estimate", "--gen", "dirichlet:n=8,seed=7", "--gamma", "1.5",
+                    "--mode", "statevector", "--out", str(out)]) == 0
+    want = estimate_entropy(random_distribution(8, 7), EstimatorParams(n=8, gamma=1.5),
+                            seed=0, sve_mode="statevector_qpe")
+    assert json.loads(out.read_text())["h_tilde"] == want.h_tilde
 
 
 def test_cli_estimate_check_pass_and_fail(tmp_path):
@@ -132,6 +138,12 @@ def test_cli_invalid_args_exit_2(tmp_path, capsys):
                         "--gamma", "2.0"]) == 2
     assert run_cli(["sweep", "--n-list", "64,abc", "--gamma", "2.0"]) == 2
     assert "'bogus'" in capsys.readouterr().err
+    # statevector SVE is offered only where it is used
+    for task, flags in (("additive", ["--eps-add", "0.5"]),
+                        ("threshold", ["--high", "6", "--low", "3"])):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli([task, "--gen", "uniform:n=64", *flags, "--mode", "statevector"])
+        assert excinfo.value.code == 2
 
 
 def test_cli_input_file_round_trip(tmp_path):
@@ -202,3 +214,14 @@ def test_cli_config_file(tmp_path):
     assert run_cli(["estimate", "--gen", "uniform:n=64", "--gamma=2",
                     "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads(out.read_text().splitlines()[0])["gamma"] == 2.0
+    # so does an abbreviated flag
+    assert run_cli(["estimate", "--gen", "uniform:n=64", "--gam", "2",
+                    "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[0])["gamma"] == 2.0
+    # config values are checked like flags; a key that names no flag is rejected
+    for line in ("mode = bogus", "gamma = abc", "seeds = 2.5", "bogus = 1"):
+        cfg.write_text("gamma = 2.0\n" + line + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["estimate", "--gen", "uniform:n=64", "--config", str(cfg),
+                     "--out", str(out)])
+        assert excinfo.value.code == 2

@@ -216,7 +216,7 @@ GOLDEN = {
     "statevector_qpe8": (
         lambda: estimate_entropy(Distribution.dirichlet(8, np.random.default_rng(7)), _params(8),
                                  mode="sampled", seed=8, repetitions=3,
-                                 sve_mode="statevector_qpe", dense=True),
+                                 sve_mode="statevector_qpe"),
         (2.219072852655004, 191520, 6, 171, 9, 10)),
 }
 
