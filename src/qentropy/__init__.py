@@ -16,7 +16,6 @@ from .dists import (
     restricted_entropy,
     shannon_entropy,
     split_heavy_light,
-    total_variation,
     von_neumann_entropy,
     weight,
 )
@@ -26,7 +25,6 @@ from .logapprox import (
     certify,
     choose_exponent,
     f_power_log,
-    multiplicative_factor_bound,
     taylor_poly_neg,
     taylor_poly_pos,
 )

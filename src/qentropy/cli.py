@@ -50,15 +50,18 @@ GEN_KEYS = {  # generator name -> the spec keys it reads
 
 
 def config_flags(path: str) -> list[str]:
-    """A flat `key = value` file as flags; `true` gives a bare flag, `false` none."""
+    """A flat `key = value` file as flags; `true` gives a bare flag, `false` none.
+
+    A line holding only `key` reads as `key = true`.
+    """
     flags = []
     with open(path) as fh:
         for line in fh:
-            key, _, val = (tok.strip() for tok in line.partition("="))
+            key, sep, val = (tok.strip() for tok in line.partition("="))
             if not key or key.startswith("#"):
                 continue
             try:
-                val = json.loads(val)
+                val = json.loads(val if sep else "true")
             except json.JSONDecodeError:
                 pass
             if val is not False:

@@ -259,13 +259,6 @@ def hellinger(p: Distribution, q: Distribution) -> float:
     return math.sqrt(max(0.0, 1.0 - min(1.0, bc)))
 
 
-def total_variation(p: Distribution, q: Distribution) -> float:
-    """Total variation distance (1/2) * sum |p_i - q_i|."""
-    if p.n != q.n:
-        raise ValidationError("distributions must share a label set")
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
-
-
 # ---------------------------------------------------------------------------
 # Hard instance pairs for lower-bound demonstrations
 # ---------------------------------------------------------------------------

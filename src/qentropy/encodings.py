@@ -15,7 +15,7 @@ with the dense path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class PurifiedOracle:
     register_dims: tuple
     ancilla_axis: int
     kind: str  # "classical" | "quantum" | "frequency"
-    meta: dict = field(default_factory=dict)
 
     @property
     def unitary(self) -> np.ndarray:
@@ -102,7 +101,6 @@ def build_purified_oracle_classical(p: Distribution) -> PurifiedOracle:
         register_dims=(n, n),
         ancilla_axis=0,
         kind="classical",
-        meta={"probs": np.array(p.probs)},
     )
 
 
@@ -121,7 +119,6 @@ def build_purified_oracle_quantum(rho: DensityMatrix) -> PurifiedOracle:
         register_dims=(n, n),
         ancilla_axis=1,
         kind="quantum",
-        meta={"eigenvalues": ev},
     )
 
 
@@ -162,7 +159,6 @@ def build_frequency_oracle(vec: FrequencyVector) -> PurifiedOracle:
     m, n = vec.m, vec.n
     if m * n > DENSE_ORACLE_CAP:
         raise ValidationError(f"frequency oracle needs m*n <= {DENSE_ORACLE_CAP}")
-    counts = vec.counts()
     v = np.zeros(m * n, dtype=complex)
     for j, lab in enumerate(vec.values):
         # amplitude sqrt(c/m) * 1/sqrt(c) = 1/sqrt(m) at (position j, label lab)
@@ -173,7 +169,6 @@ def build_frequency_oracle(vec: FrequencyVector) -> PurifiedOracle:
         register_dims=(m, n),
         ancilla_axis=0,
         kind="frequency",
-        meta={"counts": counts, "m": m},
     )
 
 
@@ -192,8 +187,6 @@ class ProjectedUnitaryEncoding:
 
     sigma: np.ndarray
     alpha: float
-    ancilla_count: int
-    kind: str
     block: np.ndarray | None = None
     oracle: PurifiedOracle | None = None
 
@@ -223,8 +216,7 @@ def projected_encoding_classical(oracle: PurifiedOracle) -> ProjectedUnitaryEnco
     block = block.reshape(d_a * n, n)
     sigma = np.linalg.svd(block, compute_uv=False)
     return ProjectedUnitaryEncoding(
-        sigma=np.sort(sigma)[::-1], alpha=1.0, ancilla_count=2,
-        kind="classical", block=block, oracle=oracle,
+        sigma=np.sort(sigma)[::-1], alpha=1.0, block=block, oracle=oracle,
     )
 
 
@@ -242,8 +234,7 @@ def projected_encoding_quantum(oracle: PurifiedOracle) -> ProjectedUnitaryEncodi
     block = psi.conj() / math.sqrt(n)
     sigma = np.linalg.svd(block, compute_uv=False)
     return ProjectedUnitaryEncoding(
-        sigma=np.sort(sigma)[::-1], alpha=math.sqrt(n), ancilla_count=2,
-        kind="quantum", block=block, oracle=oracle,
+        sigma=np.sort(sigma)[::-1], alpha=math.sqrt(n), block=block, oracle=oracle,
     )
 
 
@@ -255,8 +246,7 @@ def block_encoding_density_swap(oracle: PurifiedOracle) -> ProjectedUnitaryEncod
     block = psi @ psi.conj().T
     sigma = np.linalg.svd(block, compute_uv=False)
     return ProjectedUnitaryEncoding(
-        sigma=np.sort(sigma)[::-1], alpha=1.0, ancilla_count=2,
-        kind="swap", block=block, oracle=oracle,
+        sigma=np.sort(sigma)[::-1], alpha=1.0, block=block, oracle=oracle,
     )
 
 
@@ -284,19 +274,14 @@ def swap_encoding_dense_unitary(oracle: PurifiedOracle) -> np.ndarray:
 
 def spectral_encoding_classical(p: Distribution) -> ProjectedUnitaryEncoding:
     """Spectral shortcut: classical encoding without dense matrices."""
-    return ProjectedUnitaryEncoding(
-        sigma=np.sort(np.sqrt(p.probs))[::-1], alpha=1.0, ancilla_count=2,
-        kind="classical",
-    )
+    return ProjectedUnitaryEncoding(sigma=np.sort(np.sqrt(p.probs))[::-1], alpha=1.0)
 
 
 def spectral_encoding_quantum(spectrum: Distribution) -> ProjectedUnitaryEncoding:
     """Spectral shortcut for purified quantum access: sigma = sqrt(p_i / n)."""
     n = spectrum.n
     return ProjectedUnitaryEncoding(
-        sigma=np.sort(np.sqrt(spectrum.probs / n))[::-1], alpha=math.sqrt(n),
-        ancilla_count=2, kind="quantum",
-    )
+        sigma=np.sort(np.sqrt(spectrum.probs / n))[::-1], alpha=math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------

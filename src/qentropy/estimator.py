@@ -30,7 +30,13 @@ from .encodings import (
     spectral_encoding_classical,
     spectral_encoding_quantum,
 )
-from .logapprox import TaylorPolynomial, certify, taylor_poly_neg, taylor_poly_pos
+from .logapprox import (
+    TaylorPolynomial,
+    certify,
+    choose_exponent,
+    taylor_poly_neg,
+    taylor_poly_pos,
+)
 from .qsub import (
     M_for_precision,
     QueryLedger,
@@ -87,27 +93,20 @@ class DerivedParams:
     M_light: int
     M_heavy: int
     alpha: float
-    poly_pos: TaylorPolynomial | None = None
-    poly_neg: TaylorPolynomial | None = None
-
-    @property
-    def deg_pos(self) -> int:
-        return self.poly_pos.degree if self.poly_pos is not None else 0
-
-    @property
-    def deg_neg(self) -> int:
-        return self.poly_neg.degree if self.poly_neg is not None else 0
+    poly_pos: TaylorPolynomial
+    poly_neg: TaylorPolynomial
 
 
 def derive_params(params: EstimatorParams, alpha: float = 1.0,
-                  m_bits: int | None = None, build_polys: bool = True) -> DerivedParams:
+                  m_bits: int | None = None) -> DerivedParams:
     """Derive threshold, exponent, error budgets, polynomials, and QAE rounds.
 
     sqrt(beta') = 2^-m with m = ceil(log2(n) / (2*gamma^2)), so that
     beta' = n^(-1/gamma'^2) for the rounded gamma' = sqrt(log2(n)/(2m)) <= gamma.
     If the rounding degenerates to gamma' = 1 the power exponent falls back
     to the requested gamma (still a valid one-sided factor) and the light
-    term uses the exact divisor 1.
+    term uses the exact divisor 1.  Raises ValidationError if a certified
+    polynomial error exceeds its budget eps2.
     """
     n, gamma, eps = params.n, params.gamma, params.eps
     logn = math.log2(n)
@@ -122,7 +121,7 @@ def derive_params(params: EstimatorParams, alpha: float = 1.0,
     else:
         gamma_prime = 1.0
         gamma_heavy = gamma
-    a = math.log(gamma_heavy) / math.log(1.0 / beta_prime)
+    a = choose_exponent(gamma_heavy, beta_prime)
     if a > 1.0:
         raise ValidationError(f"gamma={gamma} is too large for n={n}: the power "
                               f"exponent a={a:.4g} exceeds 1")
@@ -131,19 +130,22 @@ def derive_params(params: EstimatorParams, alpha: float = 1.0,
     eps2 = eps * math.log(gamma) / (2.0 * n * math.sqrt(gamma) * log_inv_beta)
     eps3 = eps * math.log(gamma) / (4.0 * math.sqrt(gamma) * log_inv_beta)
     delta = sqrt_beta / (2.0 * alpha)
-    derived = DerivedParams(
+    poly_pos = taylor_poly_pos(a, delta, eps2)
+    poly_neg = taylor_poly_neg(a, delta, eps2)
+    for poly in (poly_pos, poly_neg):
+        certify(poly, CERT_GRID_POINTS)
+        if poly.eps_cert > eps2:
+            raise ValidationError(
+                f"the degree-{poly.degree} polynomial for x^{poly.sign * a:.4g} is "
+                f"certified to {poly.eps_cert:.3g}, {poly.eps_cert / eps2:.4g}x its "
+                f"budget eps2 = {eps2:.3g}")
+    return DerivedParams(
         m_bits=m_bits, sqrt_beta_prime=sqrt_beta, beta_prime=beta_prime,
         gamma_prime=gamma_prime, gamma_heavy=gamma_heavy, a=a, delta=delta,
         eps1=eps1, eps2=eps2, eps3=eps3,
         M_light=M_for_precision(1.0, eps1), M_heavy=M_for_precision(1.0, eps3),
-        alpha=alpha,
+        alpha=alpha, poly_pos=poly_pos, poly_neg=poly_neg,
     )
-    if build_polys:
-        derived.poly_pos = taylor_poly_pos(a, delta, eps2)
-        derived.poly_neg = taylor_poly_neg(a, delta, eps2)
-        certify(derived.poly_pos, CERT_GRID_POINTS)
-        certify(derived.poly_neg, CERT_GRID_POINTS)
-    return derived
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +153,8 @@ def derive_params(params: EstimatorParams, alpha: float = 1.0,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LightweightResult:
-    w_tilde: float
-    w_true: float
-    light_flags: np.ndarray
-
-
-@dataclass(frozen=True)
 class HeavyResult:
     h_heavy: float
-    f_plus_hat: float
-    f_minus_hat: float
     heavy_flags: np.ndarray
 
 
@@ -178,7 +171,6 @@ class EstimationPlan:
 
     enc: ProjectedUnitaryEncoding
     derived: DerivedParams
-    light_flags: np.ndarray
     heavy_flags: np.ndarray
     w_true: float                    # true mass of the light labels
     p_heavy: np.ndarray              # (alpha * sigma)^2 on the heavy labels
@@ -189,33 +181,26 @@ class EstimationPlan:
 def plan_estimate(enc: ProjectedUnitaryEncoding, derived: DerivedParams,
                   sve_mode: str = "ideal_svd") -> EstimationPlan:
     """Estimate the singular values once and split them at sqrt(beta')."""
-    if derived.poly_pos is None or derived.poly_neg is None:
-        raise ValidationError("derived parameters lack constructed polynomials")
     # the SVE is charged by each stage of each repetition, not here
     sve = qsve(enc, derived.m_bits, QueryLedger(), mode=sve_mode)
     light = sve.estimates < derived.sqrt_beta_prime
     heavy = sve.estimates >= derived.sqrt_beta_prime
-    light.setflags(write=False)
     heavy.setflags(write=False)
     p = enc.true_values() ** 2
-    heavy_enc = ProjectedUnitaryEncoding(
-        sigma=enc.sigma[heavy], alpha=enc.alpha, ancilla_count=enc.ancilla_count,
-        kind=f"{enc.kind}:heavy")
     return EstimationPlan(
-        enc=enc, derived=derived, light_flags=light, heavy_flags=heavy,
-        w_true=float(p[light].sum()), p_heavy=p[heavy], heavy=heavy_enc,
+        enc=enc, derived=derived, heavy_flags=heavy,
+        w_true=float(p[light].sum()), p_heavy=p[heavy],
+        heavy=ProjectedUnitaryEncoding(sigma=enc.sigma[heavy], alpha=enc.alpha),
         prep_cost=sve_rounds(enc.alpha, derived.m_bits))
 
 
 def lightweight(plan: EstimationPlan, mode: str, rng: np.random.Generator,
-                ledger: QueryLedger) -> LightweightResult:
+                ledger: QueryLedger) -> float:
     """Estimate the total mass of elements below the split threshold."""
     derived = plan.derived
     ledger.charge_sve(plan.enc.alpha, derived.m_bits)
-    est = qae(min(1.0, plan.w_true), derived.M_light, mode, rng, ledger,
-              prep_cost_U=plan.prep_cost)
-    return LightweightResult(w_tilde=est.value, w_true=plan.w_true,
-                             light_flags=plan.light_flags)
+    return qae(min(1.0, plan.w_true), derived.M_light, mode, rng, ledger,
+               prep_cost_U=plan.prep_cost).value
 
 
 def heavy_entropy(plan: EstimationPlan, mode: str, rng: np.random.Generator,
@@ -242,8 +227,7 @@ def heavy_entropy(plan: EstimationPlan, mode: str, rng: np.random.Generator,
     f_plus = hats["plus"] / (nu_p**2 * alpha ** (-2.0 * a))
     f_minus = hats["minus"] / (nu_m**2 * alpha ** (2.0 * a))
     h_heavy = (f_minus - f_plus) / (2.0 * a * LN2)
-    return HeavyResult(h_heavy=h_heavy, f_plus_hat=hats["plus"],
-                       f_minus_hat=hats["minus"], heavy_flags=plan.heavy_flags)
+    return HeavyResult(h_heavy=h_heavy, heavy_flags=plan.heavy_flags)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +340,12 @@ def _estimate(enc: ProjectedUnitaryEncoding, h_true: float, params: EstimatorPar
     estimates, heavies, lights = [], [], []
     for k in range(repetitions):
         rng = np.random.default_rng(seed + k)
-        lw = lightweight(plan, mode, rng, ledger)
+        w_tilde = lightweight(plan, mode, rng, ledger)
         hv = heavy_entropy(plan, mode, rng, ledger)
-        h_k = max(0.0, hv.h_heavy + lw.w_tilde * math.log2(params.n) / derived.gamma_prime)
+        h_k = max(0.0, hv.h_heavy + w_tilde * math.log2(params.n) / derived.gamma_prime)
         estimates.append(h_k)
         heavies.append(hv.h_heavy)
-        lights.append(lw.w_tilde)
+        lights.append(w_tilde)
     h_tilde = boost_median(estimates) if repetitions > 1 else estimates[0]
     return EstimateReport(
         h_tilde=h_tilde, h_true=h_true, gamma=params.gamma, eps=params.eps,
@@ -369,7 +353,7 @@ def _estimate(enc: ProjectedUnitaryEncoding, h_true: float, params: EstimatorPar
         alpha=enc.alpha, h_heavy=float(np.median(heavies)),
         w_light=float(np.median(lights)), m_bits=derived.m_bits,
         gamma_prime=derived.gamma_prime, a=derived.a,
-        deg_pos=derived.deg_pos, deg_neg=derived.deg_neg,
+        deg_pos=derived.poly_pos.degree, deg_neg=derived.poly_neg.degree,
         ledger=ledger.snapshot(),
         within_guarantee=check_guarantee(h_tilde, h_true, params.gamma, params.eps),
         promise_satisfied=h_true >= promise_threshold(params.gamma, params.eps),

@@ -39,13 +39,6 @@ def f_power_log(x, a: float):
     return float(out) if out.ndim == 0 else out
 
 
-def multiplicative_factor_bound(a: float, x: float) -> float:
-    """Upper bound exp(a * ln(1/x)) = x^-a on f(x) / log2(1/x)."""
-    if a <= 0 or not (0.0 < x < 1.0):
-        raise ValidationError("need a > 0 and x in (0, 1)")
-    return x**-a
-
-
 # ---------------------------------------------------------------------------
 # Taylor polynomials for x^c and x^-c
 # ---------------------------------------------------------------------------
@@ -66,9 +59,7 @@ class TaylorPolynomial:
     sign: int  # +1 approximates x^c, -1 approximates x^-c
     delta: float
     normalization: float
-    eps_target: float
     eps_cert: float
-    parity: str = "even"
     rescaled: bool = False
 
     def __call__(self, x):
@@ -87,108 +78,61 @@ class TaylorPolynomial:
         out = self.normalization * x ** (self.sign * self.c)
         return float(out) if out.ndim == 0 else out
 
-    def to_record(self) -> dict:
-        return {
-            "coeffs": [float(v) for v in self.coeffs],
-            "degree": self.degree,
-            "c": self.c,
-            "sign": self.sign,
-            "delta": self.delta,
-            "normalization": self.normalization,
-            "eps_target": self.eps_target,
-            "eps_cert": self.eps_cert,
-            "parity": self.parity,
-            "rescaled": self.rescaled,
-        }
-
-
-def _binom_magnitudes(c: float, k_max: int) -> np.ndarray:
-    """|binom(c, k)| for k = 0..k_max, computed by the stable term recurrence."""
-    b = np.empty(k_max + 1)
-    b[0] = 1.0
-    for k in range(k_max):
-        b[k + 1] = b[k] * abs(c - k) / (k + 1)
-    return b
-
-
-def binom_abs_series_sum(c: float, k_max: int) -> float:
-    """sum_{k=1..k_max} |binom(c, k)|; converges to 1 for c in (0, 1]."""
-    return float(_binom_magnitudes(c, k_max)[1:].sum())
-
 
 def taylor_poly_pos(c: float, delta: float, eps: float) -> TaylorPolynomial:
     """Polynomial approximation of x^c / 2 on [delta, 1].
 
-    Binomial series of (1+y)^c around y = 0, truncated at the smallest
-    degree whose tail bound (geometric majorant at radius 1 - delta) is
-    below eps.  Since 1 + sum_k>=1 |binom(c,k)| = 2 for c in (0,1], the
-    truncation is bounded by 1 in magnitude for |y| <= 1, i.e. on x in [0, 2].
+    The binomial series of (1+y)^c, built by `_binomial_series`.  Since
+    1 + sum_k>=1 |binom(c,k)| = 2 for c in (0,1], the truncation is bounded
+    by 1 in magnitude for |y| <= 1, i.e. on x in [0, 2].
     """
     _check_cde(c, delta, eps)
-    norm = 0.5
     if c == 1.0:  # series terminates: x/2 exactly
         return TaylorPolynomial(
             coeffs=np.array([0.5, 0.5]), degree=1, c=c, sign=+1, delta=delta,
-            normalization=norm, eps_target=eps, eps_cert=0.0,
+            normalization=0.5, eps_cert=0.0,
         )
-    r = 1.0 - delta
-    coeffs = [1.0]
-    b = 1.0  # binom(c, k), signed
-    k = 0
-    while True:
-        b_next = b * (c - k) / (k + 1)
-        # terms decrease in magnitude, so the tail is below a geometric series
-        tail = abs(b_next) * r ** (k + 1) / delta if r > 0 else 0.0
-        if norm * tail <= eps or r == 0.0:
-            break
-        coeffs.append(b_next)
-        b = b_next
-        k += 1
-        if k > MAX_DEGREE:
-            raise ValidationError("degree cap exceeded in taylor_poly_pos")
-    coeffs = norm * np.asarray(coeffs)
-    tail_bound = norm * abs(b * (c - k) / (k + 1)) * r ** (k + 1) / delta if r > 0 else 0.0
-    return TaylorPolynomial(
-        coeffs=coeffs, degree=len(coeffs) - 1, c=c, sign=+1, delta=delta,
-        normalization=norm, eps_target=eps, eps_cert=tail_bound,
-    )
+    return _binomial_series(c, +1, delta, eps, 0.5)
 
 
 def taylor_poly_neg(c: float, delta: float, eps: float) -> TaylorPolynomial:
     """Polynomial approximation of (delta^c / 2) * x^-c on [delta, 1].
 
-    Binomial series of (1+y)^-c with the normalization delta^c / 2; the
-    shrunken wiggle radius delta' = delta / (2 max(1, c)) certifies the
-    magnitude bound 1 down to x = delta - delta'.
+    The binomial series of (1+y)^-c with the normalization delta^c / 2,
+    built by `_binomial_series`; the shrunken wiggle radius
+    delta' = delta / (2 max(1, c)) certifies the magnitude bound 1 down to
+    x = delta - delta'.
     """
     _check_cde(c, delta, eps)
-    norm = 0.5 * delta**c
-    if delta == 1.0:  # certified domain degenerates to the point x = 1
-        return TaylorPolynomial(
-            coeffs=np.array([norm]), degree=0, c=c, sign=-1, delta=delta,
-            normalization=norm, eps_target=eps, eps_cert=0.0,
-        )
+    return _binomial_series(c, -1, delta, eps, 0.5 * delta**c)
+
+
+def _binomial_series(c: float, sign: int, delta: float, eps: float,
+                     norm: float) -> TaylorPolynomial:
+    """norm * (1+y)^(sign*c) truncated at the first degree whose tail is below eps.
+
+    The tail is bounded by a geometric majorant at ratio r = 1 - delta: for
+    sign +1 the terms decrease in magnitude, and for sign -1 the summand
+    ratios r*(c+j)/(j+1) increase toward r.  At delta = 1 the tail is 0 and
+    the series stops at degree 0.
+    """
+    s = sign * c
     r = 1.0 - delta
     coeffs = [1.0]
-    b = 1.0  # binom(-c, k), signed
+    b = 1.0  # binom(s, k), signed
     k = 0
     while True:
-        b_next = b * (-c - k) / (k + 1)
-        # summand ratios r*(c+j)/(j+1) increase toward r, so a geometric
-        # majorant at ratio r bounds the tail
-        tail = abs(b_next) * r ** (k + 1) / delta
-        if norm * tail <= eps:
+        b_next = b * (s - k) / (k + 1)
+        if norm * (abs(b_next) * r ** (k + 1) / delta) <= eps:
             break
         coeffs.append(b_next)
         b = b_next
         k += 1
         if k > MAX_DEGREE:
-            raise ValidationError("degree cap exceeded in taylor_poly_neg")
-    coeffs = norm * np.asarray(coeffs)
-    tail_bound = norm * abs(b * (-c - k) / (k + 1)) * r ** (k + 1) / delta
+            raise ValidationError(f"binomial series of x^{s:.4g} exceeds degree {MAX_DEGREE}")
     return TaylorPolynomial(
-        coeffs=coeffs, degree=len(coeffs) - 1, c=c, sign=-1, delta=delta,
-        normalization=norm, eps_target=eps, eps_cert=tail_bound,
+        coeffs=norm * np.asarray(coeffs), degree=k, c=c, sign=sign, delta=delta,
+        normalization=norm, eps_cert=norm * abs(b_next) * r ** (k + 1) / delta,
     )
 
 

@@ -20,6 +20,7 @@ from .logapprox import TaylorPolynomial
 # Cost-model constants (documented, not tunable per instance).
 SVE_ROUNDS_FACTOR = 2          # an m-bit SVE runs ceil(alpha * 2^(m+1)) rounds
 STATEVECTOR_DIM_CAP = 512
+ANCILLAS = 2                   # ancilla qubits of every projected unitary encoding
 
 
 def sve_rounds(alpha: float, m_bits: int) -> int:
@@ -41,11 +42,11 @@ class QueryLedger:
         self.uses_U += rounds
         self.uses_U_dagger += rounds
 
-    def charge_svt(self, degree: int, ancilla_count: int):
+    def charge_svt(self, degree: int):
         self.uses_U += degree
         self.uses_U_dagger += degree
         self.controlled_U += 1
-        self.extra_gates += (ancilla_count + 1) * degree
+        self.extra_gates += (ANCILLAS + 1) * degree
 
     def total_queries(self) -> int:
         return self.uses_U + self.uses_U_dagger
@@ -135,11 +136,8 @@ def qsvt_apply(enc: ProjectedUnitaryEncoding, poly: TaylorPolynomial,
     Returns a new encoding (alpha 1, no dense block) with singular values
     |poly(sigma_i)|.
     """
-    ledger.charge_svt(poly.degree, enc.ancilla_count)
-    return ProjectedUnitaryEncoding(
-        sigma=np.abs(poly(enc.sigma)), alpha=1.0, ancilla_count=enc.ancilla_count,
-        kind=f"{enc.kind}:svt", oracle=enc.oracle,
-    )
+    ledger.charge_svt(poly.degree)
+    return ProjectedUnitaryEncoding(sigma=np.abs(poly(enc.sigma)), alpha=1.0, oracle=enc.oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +147,6 @@ def qsvt_apply(enc: ProjectedUnitaryEncoding, poly: TaylorPolynomial,
 @dataclass(frozen=True)
 class AmplitudeEstimate:
     value: float
-    rounds: int
-    mode: str
     error_bound: float
 
 
@@ -231,7 +227,7 @@ def qae(p: float, rounds: int, mode: str, rng: np.random.Generator,
         val = float(rng.choice(values, p=probs))
     else:
         raise ValidationError(f"unknown qae mode {mode!r}")
-    return AmplitudeEstimate(value=val, rounds=rounds, mode=mode, error_bound=bound)
+    return AmplitudeEstimate(value=val, error_bound=bound)
 
 
 def boost_median(draws) -> float:

@@ -70,7 +70,7 @@ def test_criterion_02_power_sum_sandwich():
         n = int(rng.integers(8, 1025))
         p = Distribution.dirichlet(n, rng, alpha=float(rng.uniform(0.3, 3.0)))
         gamma = float(rng.choice([1.5, 2.0]))
-        d = derive_params(EstimatorParams(n=n, gamma=gamma), build_polys=False)
+        d = derive_params(EstimatorParams(n=n, gamma=gamma))
         rep = split_heavy_light(p, d.beta_prime)
         heavy = np.array(rep.heavy, dtype=int)
         if heavy.size == 0:

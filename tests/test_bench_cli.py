@@ -218,8 +218,12 @@ def test_cli_config_file(tmp_path):
     assert run_cli(["estimate", "--gen", "uniform:n=64", "--gam", "2",
                     "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads(out.read_text().splitlines()[0])["gamma"] == 2.0
+    # a bare key reads as `key = true`: a bare flag
+    cfg.write_text("gamma = 2.0\ncheck\n")
+    assert run_cli(["estimate", "--gen", "uniform:n=64", "--config", str(cfg),
+                    "--out", str(out)]) == 0
     # config values are checked like flags; a key that names no flag is rejected
-    for line in ("mode = bogus", "gamma = abc", "seeds = 2.5", "bogus = 1"):
+    for line in ("mode = bogus", "gamma = abc", "seeds = 2.5", "bogus = 1", "bogus"):
         cfg.write_text("gamma = 2.0\n" + line + "\n")
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["estimate", "--gen", "uniform:n=64", "--config", str(cfg),

@@ -17,7 +17,6 @@ from qentropy import (
     restricted_entropy,
     shannon_entropy,
     split_heavy_light,
-    total_variation,
     von_neumann_entropy,
     weight,
 )
@@ -104,7 +103,6 @@ def test_hellinger_and_tv_known_values():
     p = Distribution(np.array([1.0, 0.0]))
     q = Distribution(np.array([0.0, 1.0]))
     assert abs(hellinger(p, q) - 1.0) < 1e-15
-    assert abs(total_variation(p, q) - 1.0) < 1e-15
     assert hellinger(p, p) == 0.0
     r = Distribution(np.array([0.5, 0.5]))
     # H(p, r)^2 = 1 - 1/sqrt(2)

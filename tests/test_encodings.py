@@ -154,13 +154,14 @@ def test_reflector_residual_matches_dense_unitary():
 
 
 def test_non_unit_reflector_fails_verification():
-    orc = build_purified_oracle_classical(rand_dist(7, 13))
+    p = rand_dist(7, 13)
+    orc = build_purified_oracle_classical(p)
     bad = dataclasses.replace(orc, reflector=orc.reflector * (1.0 + 1e-6))
     resid = bad.unitarity_residual()
     assert resid == pytest.approx(dense_residual(bad.unitary), rel=1e-6)
     assert 1e-6 < resid < 1e-5
     rep = verify_encoding(projected_encoding_classical(bad),
-                          np.sqrt(orc.meta["probs"]), tol=1e-10)
+                          np.sqrt(p.probs), tol=1e-10)
     assert not rep.ok
     assert rep.unitarity_residual == resid
 

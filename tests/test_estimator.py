@@ -43,8 +43,7 @@ def test_eta_mode_sets_eps():
 
 
 def test_derived_params_frozen_n256_gamma2():
-    d = derive_params(EstimatorParams(n=256, gamma=2.0, eps=0.1),
-                      build_polys=False)
+    d = derive_params(EstimatorParams(n=256, gamma=2.0, eps=0.1))
     assert d.m_bits == 1
     assert d.sqrt_beta_prime == 0.5
     assert d.beta_prime == 0.25
@@ -62,7 +61,7 @@ def test_derived_params_frozen_n256_gamma2():
 
 def test_m_bits_grows_with_n_and_gamma():
     # m = max(1, ceil(log2(n) / (2 gamma^2)))
-    d = derive_params(EstimatorParams(n=2 ** 14, gamma=1.5), build_polys=False)
+    d = derive_params(EstimatorParams(n=2 ** 14, gamma=1.5))
     assert d.m_bits == math.ceil(14.0 / 4.5)
     assert d.gamma_prime == math.sqrt(14.0 / (2 * d.m_bits))
 
@@ -70,7 +69,7 @@ def test_m_bits_grows_with_n_and_gamma():
 def test_gamma_prime_degenerate_fallback():
     # tiny n with large gamma: sqrt(log2 n / 2m) <= 1, so the requested
     # gamma keeps the exponent positive
-    d = derive_params(EstimatorParams(n=4, gamma=3.0), build_polys=False)
+    d = derive_params(EstimatorParams(n=4, gamma=3.0))
     assert d.gamma_prime == 1.0
     assert d.gamma_heavy == 3.0
     assert d.a > 0.0
@@ -244,13 +243,22 @@ def test_heavy_stage_evaluates_polynomials_only_at_heavy_labels(monkeypatch):
 
     monkeypatch.setattr(estimator_module, "qsvt_apply", recording)
     estimate_entropy(p, params, mode="sampled", seed=0, repetitions=repetitions)
-    d = derive_params(params, build_polys=False)
+    d = derive_params(params)
     sigma = np.sort(np.sqrt(p.probs))[::-1]
     heavy = sigma[round_to_grid(sigma, d.m_bits) >= d.sqrt_beta_prime]
     assert 0 < heavy.size <= 1.0 / d.beta_prime < n
     assert len(seen) == 2 * repetitions
     for evaluated in seen:
         np.testing.assert_array_equal(evaluated, heavy)
+
+
+def test_certified_error_over_budget_is_rejected(monkeypatch):
+    real = estimator_module.taylor_poly_pos
+    monkeypatch.setattr(estimator_module, "taylor_poly_pos",
+                        lambda c, delta, eps: real(c, delta, 1000.0 * eps))
+    with pytest.raises(ValidationError,
+                       match=r"degree-2 polynomial for x\^0\.5 .* 763\.7x its budget"):
+        derive_params(EstimatorParams(n=256, gamma=2.0))
 
 
 def test_size_mismatch_is_rejected():

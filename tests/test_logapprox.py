@@ -1,16 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
 from qentropy.logapprox import (
     _cert_grid,
-    binom_abs_series_sum,
     certify,
     choose_exponent,
     degree_bound,
     f_power_log,
-    multiplicative_factor_bound,
     taylor_poly_neg,
     taylor_poly_pos,
 )
@@ -35,15 +31,6 @@ def test_f_power_log_one_sided():
             lg = np.log2(1.0 / xs)
             assert np.all(f >= lg - 1e-12)
             assert np.all(f <= gamma * lg + 1e-12)
-
-
-def test_multiplicative_factor_bound():
-    # f(x) / log2(1/x) <= x^{-a} on (0, 1)
-    a = 0.25
-    xs = np.linspace(1e-4, 0.999, 2000)
-    ratio = f_power_log(xs, a) / np.log2(1.0 / xs)
-    bound = np.array([multiplicative_factor_bound(a, x) for x in xs])
-    assert np.all(ratio <= bound + 1e-12)
 
 
 def test_taylor_pos_degree_one_exact():
@@ -76,9 +63,12 @@ def test_taylor_neg_accuracy_and_boundedness():
             assert abs(poly(x) - poly.normalization * x ** (-c)) <= 1e-3
 
 
-def test_taylor_neg_delta_one_is_constant():
-    poly = taylor_poly_neg(0.5, 1.0, 1e-4)
+@pytest.mark.parametrize("build", [taylor_poly_pos, taylor_poly_neg])
+def test_taylor_neg_delta_one_is_constant(build):
+    # at delta = 1 the geometric tail bound is 0, so the series stops at once
+    poly = build(0.5, 1.0, 1e-4)
     assert poly.degree == 0
+    assert poly.eps_cert == 0.0
     assert abs(poly(1.0) - 0.5) < 1e-12
 
 
@@ -106,25 +96,6 @@ def test_rescale_keeps_error_budget():
         assert rep.scale > 1.0
     assert rep.max_abs <= 1.0 + 1e-12
     assert rep.sup_error <= 1e-3
-
-
-def test_binom_abs_series_sum_converges_to_one():
-    # sum_{k>=1} |binom(c, k)| = 1 for 0 < c <= 1; the tail decays like
-    # k^{-c}, so convergence is slow for small c
-    for c in (0.1, 0.5, 0.9):
-        s_short = binom_abs_series_sum(c, 1000)
-        s_long = binom_abs_series_sum(c, 100000)
-        assert s_short < s_long <= 1.0 + 1e-12
-    assert abs(binom_abs_series_sum(1.0, 10) - 1.0) < 1e-15
-
-
-def test_cert_report_round_trip_record():
-    poly = taylor_poly_pos(0.25, 0.1, 1e-3)
-    certify(poly)
-    rec = poly.to_record()
-    assert rec["degree"] == poly.degree
-    assert rec["sign"] == 1
-    assert math.isfinite(rec["eps_cert"])
 
 
 @pytest.mark.parametrize("make", [lambda: taylor_poly_pos(0.3, 0.05, 1e-6),
