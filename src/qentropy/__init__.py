@@ -44,10 +44,8 @@ from .encodings import (
     verify_encoding,
 )
 from .qsub import (
-    AmplitudeEstimate,
     M_for_precision,
     QueryLedger,
-    SVEResult,
     boost_median,
     qae,
     qae_error_bound,

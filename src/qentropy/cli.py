@@ -37,7 +37,7 @@ MODE_MAP = {
     "sampled": ("sampled", "ideal_svd"),
     "statevector": ("exact", "statevector_qpe"),
 }
-# additive and threshold build no dense block, so they run the ideal SVD only
+# additive and threshold take no sve_mode, so they run the ideal SVD only
 IDEAL_SVD_MODES = sorted(m for m, (_, sve) in MODE_MAP.items() if sve == "ideal_svd")
 
 GEN_KEYS = {  # generator name -> the spec keys it reads

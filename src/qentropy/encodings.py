@@ -190,9 +190,6 @@ class ProjectedUnitaryEncoding:
     block: np.ndarray | None = None
     oracle: PurifiedOracle | None = None
 
-    def singular_values(self) -> np.ndarray:
-        return self.sigma
-
     def true_values(self) -> np.ndarray:
         """Unnormalized singular values alpha * sigma."""
         return self.alpha * self.sigma

@@ -23,8 +23,6 @@ from .dists import DensityMatrix, Distribution, ValidationError, shannon_entropy
 from .encodings import (
     ProjectedUnitaryEncoding,
     PurifiedOracle,
-    build_purified_oracle_classical,
-    build_purified_oracle_quantum,
     projected_encoding_classical,
     projected_encoding_quantum,
     spectral_encoding_classical,
@@ -163,8 +161,8 @@ class EstimationPlan:
     """The seed-independent part of an estimate, built once per call.
 
     Holds one singular value estimation and the light/heavy split it
-    induces.  `heavy` keeps only the heavy singular values (no dense block),
-    so the power polynomials act on at most 1/beta' values instead of n.
+    induces.  `sigma_heavy` keeps only the heavy singular values, so the
+    power polynomials act on at most 1/beta' values instead of n.
     Each repetition charges the ledger for its own SVE, SVT and QAE calls
     and makes fresh amplitude-estimation draws.
     """
@@ -174,7 +172,7 @@ class EstimationPlan:
     heavy_flags: np.ndarray
     w_true: float                    # true mass of the light labels
     p_heavy: np.ndarray              # (alpha * sigma)^2 on the heavy labels
-    heavy: ProjectedUnitaryEncoding  # the heavy singular values only
+    sigma_heavy: np.ndarray          # the heavy singular values only
     prep_cost: int                   # oracle uses of one SVE-based preparation
 
 
@@ -182,15 +180,15 @@ def plan_estimate(enc: ProjectedUnitaryEncoding, derived: DerivedParams,
                   sve_mode: str = "ideal_svd") -> EstimationPlan:
     """Estimate the singular values once and split them at sqrt(beta')."""
     # the SVE is charged by each stage of each repetition, not here
-    sve = qsve(enc, derived.m_bits, QueryLedger(), mode=sve_mode)
-    light = sve.estimates < derived.sqrt_beta_prime
-    heavy = sve.estimates >= derived.sqrt_beta_prime
+    est = qsve(enc, derived.m_bits, mode=sve_mode)
+    light = est < derived.sqrt_beta_prime
+    heavy = est >= derived.sqrt_beta_prime
     heavy.setflags(write=False)
     p = enc.true_values() ** 2
     return EstimationPlan(
         enc=enc, derived=derived, heavy_flags=heavy,
         w_true=float(p[light].sum()), p_heavy=p[heavy],
-        heavy=ProjectedUnitaryEncoding(sigma=enc.sigma[heavy], alpha=enc.alpha),
+        sigma_heavy=enc.sigma[heavy],
         prep_cost=sve_rounds(enc.alpha, derived.m_bits))
 
 
@@ -200,7 +198,7 @@ def lightweight(plan: EstimationPlan, mode: str, rng: np.random.Generator,
     derived = plan.derived
     ledger.charge_sve(plan.enc.alpha, derived.m_bits)
     return qae(min(1.0, plan.w_true), derived.M_light, mode, rng, ledger,
-               prep_cost_U=plan.prep_cost).value
+               prep_cost_U=plan.prep_cost)
 
 
 def heavy_entropy(plan: EstimationPlan, mode: str, rng: np.random.Generator,
@@ -216,11 +214,10 @@ def heavy_entropy(plan: EstimationPlan, mode: str, rng: np.random.Generator,
     ledger.charge_sve(plan.enc.alpha, derived.m_bits)
     hats = {}
     for label, poly in (("plus", derived.poly_pos), ("minus", derived.poly_neg)):
-        tenc = qsvt_apply(plan.heavy, poly, ledger)
-        amp = float((plan.p_heavy * tenc.sigma ** 2).sum())
-        est = qae(min(1.0, amp), derived.M_heavy, mode, rng, ledger,
-                  prep_cost_U=plan.prep_cost + poly.degree)
-        hats[label] = est.value
+        transformed = qsvt_apply(plan.sigma_heavy, poly, ledger)
+        amp = float((plan.p_heavy * transformed ** 2).sum())
+        hats[label] = qae(min(1.0, amp), derived.M_heavy, mode, rng, ledger,
+                          prep_cost_U=plan.prep_cost + poly.degree)
     a, alpha = derived.a, derived.alpha
     nu_p = derived.poly_pos.normalization
     nu_m = derived.poly_neg.normalization
@@ -262,25 +259,13 @@ class EstimateReport:
         return rec
 
 
-def _resolve_encoding(source, dense: bool = False):
-    """Map a distribution / density matrix / oracle onto (encoding, H_true).
-
-    `dense` builds a distribution's or density matrix's purified oracle and
-    keeps its dense block, which only statevector SVE reads.
-    """
+def _resolve_encoding(source):
+    """Map a distribution / density matrix / oracle onto (encoding, H_true)."""
     if isinstance(source, Distribution):
-        if dense:
-            enc = projected_encoding_classical(build_purified_oracle_classical(source))
-        else:
-            enc = spectral_encoding_classical(source)
-        return enc, shannon_entropy(source)
+        return spectral_encoding_classical(source), shannon_entropy(source)
     if isinstance(source, DensityMatrix):
         spec = source.spectrum()
-        if dense:
-            enc = projected_encoding_quantum(build_purified_oracle_quantum(source))
-        else:
-            enc = spectral_encoding_quantum(spec)
-        return enc, shannon_entropy(spec)
+        return spectral_encoding_quantum(spec), shannon_entropy(spec)
     if isinstance(source, PurifiedOracle):
         if source.kind == "quantum":
             enc = projected_encoding_quantum(source)
@@ -309,32 +294,30 @@ def check_guarantee(h_tilde: float, h_true: float, gamma: float, eps: float) -> 
 
 def estimate_entropy(source, params: EstimatorParams, mode: str = "exact",
                      seed: int = 0, repetitions: int = 1,
-                     sve_mode: str = "ideal_svd",
-                     derived: DerivedParams | None = None) -> EstimateReport:
+                     sve_mode: str = "ideal_svd") -> EstimateReport:
     """Full estimator: light mass + heavy power sums, optionally median-boosted.
 
     `mode` is the amplitude-estimation noise model: exact (noise-free),
     bound_only (adversarial within each error bound), sampled (exact
     outcome distribution).  `repetitions` (odd) applies median boosting to
     the final estimate; the ledger accumulates over all repetitions.
-    `sve_mode` "statevector_qpe" runs phase estimation on the dense block,
-    so it takes small inputs only.
+    `sve_mode` "statevector_qpe" runs phase estimation on each singular
+    value, so it takes at most 512 of them.
     """
-    enc, h_true = _resolve_encoding(source, sve_mode == "statevector_qpe")
-    return _estimate(enc, h_true, params, mode, seed, repetitions, sve_mode, derived)
+    enc, h_true = _resolve_encoding(source)
+    return _estimate(enc, h_true, params, mode, seed, repetitions, sve_mode)
 
 
 def _estimate(enc: ProjectedUnitaryEncoding, h_true: float, params: EstimatorParams,
               mode: str, seed: int, repetitions: int, sve_mode: str = "ideal_svd",
-              derived: DerivedParams | None = None) -> EstimateReport:
+              m_bits: int | None = None) -> EstimateReport:
     """Plan once, then draw each repetition from its own seed."""
     if repetitions < 1 or repetitions % 2 == 0:
         raise ValidationError("repetitions must be a positive odd number")
     if params.n != enc.sigma.size:
         raise ValidationError(
             f"params.n = {params.n} does not match the source size {enc.sigma.size}")
-    if derived is None:
-        derived = derive_params(params, alpha=enc.alpha)
+    derived = derive_params(params, alpha=enc.alpha, m_bits=m_bits)
     plan = plan_estimate(enc, derived, sve_mode)
     ledger = QueryLedger()
     estimates, heavies, lights = [], [], []
@@ -375,8 +358,7 @@ def estimate_additive(source, eps_add: float, mode: str = "exact", seed: int = 0
     logn = math.log2(n)
     gamma = 1.0 + eps_add / logn
     params = EstimatorParams(n=n, gamma=gamma, eps=min(0.5, eps_add / (4.0 * logn)))
-    derived = derive_params(params, alpha=enc.alpha, m_bits=math.ceil(logn))
-    return _estimate(enc, h_true, params, mode, seed, repetitions, derived=derived)
+    return _estimate(enc, h_true, params, mode, seed, repetitions, m_bits=math.ceil(logn))
 
 
 @dataclass(frozen=True)
@@ -391,12 +373,19 @@ class ThresholdReport:
 def entropy_threshold_test(source, h_high: float, h_low: float, eps: float = 0.1,
                            mode: str = "exact", seed: int = 0,
                            repetitions: int = 1) -> ThresholdReport:
-    """Decide H >= h_high versus H <= h_low with gamma = sqrt(h_high/h_low)."""
+    """Decide H >= h_high versus H <= h_low by cutting an estimate at sqrt(h_high*h_low).
+
+    gamma = sqrt(h_high/h_low)/(1+2*eps) keeps the (1+2*eps)*gamma window of
+    H >= h_high at or above the cut and that of H <= h_low at or below it;
+    a gap too small for the slack (gamma <= 1) raises ValidationError.
+    """
     if not (h_high > h_low > 0):
         raise ValidationError("need h_high > h_low > 0")
-    gamma = math.sqrt(h_high / h_low)
+    ratio = math.sqrt(h_high / h_low)
+    gamma = ratio / (1.0 + 2.0 * eps)
     if gamma <= 1.0:
-        raise ValidationError("threshold gap too small")
+        raise ValidationError(f"threshold gap too small: sqrt(h_high/h_low) = {ratio:.4g} "
+                              f"must exceed the guarantee slack 1+2*eps = {1.0 + 2.0 * eps:.4g}")
     enc, h_true = _resolve_encoding(source)
     params = EstimatorParams(n=enc.sigma.size, gamma=gamma, eps=eps)
     rep = _estimate(enc, h_true, params, mode, seed, repetitions)

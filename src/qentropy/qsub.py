@@ -4,7 +4,9 @@ Singular value estimation (ideal grid-rounding semantics plus a small-scale
 statevector phase-estimation cross-check), singular value transformation
 (matrix-function semantics), and amplitude estimation (exact value, adversarial
 within-bound perturbation, or sampling from the exact phase-estimation outcome
-distribution).  Every subroutine charges a shared query ledger.
+distribution).  Each takes and returns plain arrays and floats.  QSVT and QAE
+charge a shared query ledger; SVE is charged by the estimator stages that use
+it, through `QueryLedger.charge_sve`.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .logapprox import TaylorPolynomial
 
 # Cost-model constants (documented, not tunable per instance).
 SVE_ROUNDS_FACTOR = 2          # an m-bit SVE runs ceil(alpha * 2^(m+1)) rounds
-STATEVECTOR_DIM_CAP = 512
+STATEVECTOR_SV_CAP = 512       # max singular values of one statevector SVE
 ANCILLAS = 2                   # ancilla qubits of every projected unitary encoding
 
 
@@ -65,13 +67,6 @@ class QueryLedger:
 # Singular value estimation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SVEResult:
-    estimates: np.ndarray   # m-bit grid values, aligned with enc.singular_values()
-    m_bits: int
-    mode: str
-
-
 def round_to_grid(values: np.ndarray, m_bits: int) -> np.ndarray:
     """Round to the nearest multiple of 2^-m; exact half-way ties go toward zero."""
     step = 2.0**-m_bits
@@ -82,73 +77,46 @@ def round_to_grid(values: np.ndarray, m_bits: int) -> np.ndarray:
     return np.clip(idx * step, 0.0, 1.0)
 
 
-def qsve(enc: ProjectedUnitaryEncoding, m_bits: int, ledger: QueryLedger,
-         mode: str = "ideal_svd") -> SVEResult:
+def qsve(enc: ProjectedUnitaryEncoding, m_bits: int, mode: str = "ideal_svd") -> np.ndarray:
     """Estimate the unnormalized singular values alpha*sigma to m bits.
 
-    ideal_svd: exact values rounded to the 2^-m grid (ties toward zero), so
-    every estimate is within 2^-(m+1) of the truth.  statevector_qpe: runs
-    textbook phase estimation on exp(2*pi*i*H) for the symmetrized block
-    H = [[0, P], [P^dag, 0]] and reports the per-eigenvector outcome mode.
+    Returns the estimates in the order of `enc.sigma`.  ideal_svd: exact
+    values rounded to the 2^-m grid (ties toward zero), so every estimate is
+    within 2^-(m+1) of the truth.  statevector_qpe: runs 2^(m+1)-point phase
+    estimation on each eigenphase sigma/2 and keeps the most likely outcome.
+    Charges nothing: each stage that uses an SVE charges its own ledger.
     """
     if m_bits < 1:
         raise ValidationError("m_bits must be >= 1")
-    ledger.charge_sve(enc.alpha, m_bits)
     if mode == "ideal_svd":
-        est = round_to_grid(enc.true_values(), m_bits)
-        return SVEResult(estimates=est, m_bits=m_bits, mode=mode)
-    if mode == "statevector_qpe":
-        return _qsve_statevector(enc, m_bits)
-    raise ValidationError(f"unknown qsve mode {mode!r}")
-
-
-def _qsve_statevector(enc: ProjectedUnitaryEncoding, m_bits: int) -> SVEResult:
-    if enc.block is None:
-        raise ValidationError("statevector qsve needs a dense block")
-    dl, dr = enc.block.shape
-    if dl + dr > STATEVECTOR_DIM_CAP:
-        raise ValidationError("block too large for statevector qsve")
-    h = np.zeros((dl + dr, dl + dr), dtype=complex)
-    h[:dl, dl:] = enc.block
-    h[dl:, :dl] = enc.block.conj().T
-    # eigenphases of exp(pi i H) are +/- sigma/2, so sigma in [0,1] maps to
-    # [0, 1/2] with no wraparound at sigma = 1; one extra phase bit keeps
-    # the effective grid on sigma at spacing 2^-m
-    sig = np.linalg.svd(enc.block, compute_uv=False)
+        return round_to_grid(enc.true_values(), m_bits)
+    if mode != "statevector_qpe":
+        raise ValidationError(f"unknown qsve mode {mode!r}")
+    if enc.sigma.size > STATEVECTOR_SV_CAP:
+        raise ValidationError(f"statevector qsve takes at most {STATEVECTOR_SV_CAP} "
+                              f"singular values, got {enc.sigma.size}")
+    # the eigenphases of exp(pi i H), H = [[0, P], [P^dag, 0]], are +/- sigma/2,
+    # so sigma in [0,1] maps to [0, 1/2] with no wraparound at sigma = 1; one
+    # extra phase bit keeps the effective grid on sigma at spacing 2^-m
     big = 2 ** (m_bits + 1)
-    est = np.empty_like(sig)
-    for i, s in enumerate(sig):
-        _, probs = _phase_estimation(0.5 * float(s), big)
-        est[i] = 2.0 * np.argmax(probs) / big
-    # sig is descending, matching the descending order of enc.sigma
-    return SVEResult(estimates=np.clip(enc.alpha * est, 0.0, 1.0), m_bits=m_bits,
-                     mode="statevector_qpe")
+    est = np.array([np.argmax(_phase_estimation(0.5 * float(s), big)[1]) for s in enc.sigma],
+                   dtype=float)
+    return np.clip(enc.alpha * (2.0 * est / big), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Singular value transformation
 # ---------------------------------------------------------------------------
 
-def qsvt_apply(enc: ProjectedUnitaryEncoding, poly: TaylorPolynomial,
-               ledger: QueryLedger) -> ProjectedUnitaryEncoding:
-    """Transform the encoding's singular values by poly(sigma/alpha).
-
-    Returns a new encoding (alpha 1, no dense block) with singular values
-    |poly(sigma_i)|.
-    """
+def qsvt_apply(sigma: np.ndarray, poly: TaylorPolynomial, ledger: QueryLedger) -> np.ndarray:
+    """Transformed singular values |poly(sigma)| of an encoding with singular values sigma."""
     ledger.charge_svt(poly.degree)
-    return ProjectedUnitaryEncoding(sigma=np.abs(poly(enc.sigma)), alpha=1.0, oracle=enc.oracle)
+    return np.abs(poly(sigma))
 
 
 # ---------------------------------------------------------------------------
 # Amplitude estimation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AmplitudeEstimate:
-    value: float
-    error_bound: float
-
 
 def qae_error_bound(p: float, rounds: int) -> float:
     """Error bound 2*pi*sqrt(p(1-p))/M + pi^2/M^2 on |p_hat - p|."""
@@ -201,7 +169,7 @@ def qae_outcome_distribution(p: float, rounds: int) -> tuple[np.ndarray, np.ndar
 
 
 def qae(p: float, rounds: int, mode: str, rng: np.random.Generator,
-        ledger: QueryLedger, prep_cost_U: int = 1) -> AmplitudeEstimate:
+        ledger: QueryLedger, prep_cost_U: int = 1) -> float:
     """Estimate amplitude p with M Grover rounds.
 
     exact: returns p itself.  bound_only: seeded uniform perturbation within
@@ -217,17 +185,15 @@ def qae(p: float, rounds: int, mode: str, rng: np.random.Generator,
         raise ValidationError("rounds must be >= 1")
     ledger.uses_U += rounds * prep_cost_U
     ledger.uses_U_dagger += rounds * prep_cost_U
-    bound = qae_error_bound(p, rounds)
     if mode == "exact":
-        val = p
-    elif mode == "bound_only":
-        val = min(1.0, max(0.0, p + rng.uniform(-bound, bound)))
-    elif mode == "sampled":
+        return p
+    if mode == "bound_only":
+        bound = qae_error_bound(p, rounds)
+        return min(1.0, max(0.0, p + rng.uniform(-bound, bound)))
+    if mode == "sampled":
         values, probs = qae_outcome_distribution(p, rounds)
-        val = float(rng.choice(values, p=probs))
-    else:
-        raise ValidationError(f"unknown qae mode {mode!r}")
-    return AmplitudeEstimate(value=val, error_bound=bound)
+        return float(rng.choice(values, p=probs))
+    raise ValidationError(f"unknown qae mode {mode!r}")
 
 
 def boost_median(draws) -> float:

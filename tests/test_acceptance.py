@@ -120,14 +120,14 @@ def test_criterion_05_encoding_spectra():
         n = int(rng.integers(2, 65))
         p = Distribution.dirichlet(n, rng)
         enc = projected_encoding_classical(build_purified_oracle_classical(p))
-        dev = np.max(np.abs(np.sort(enc.singular_values()) - np.sort(np.sqrt(p.probs))))
+        dev = np.max(np.abs(np.sort(enc.sigma) - np.sort(np.sqrt(p.probs))))
         ok = ok and dev < 1e-10
     for _ in range(100):
         n = int(rng.integers(2, 33))
         rho = DensityMatrix.random(n, rng)
         enc = projected_encoding_quantum(build_purified_oracle_quantum(rho))
         want = np.sort(np.sqrt(rho.spectrum().probs / n))
-        dev = np.max(np.abs(np.sort(enc.singular_values()) - want))
+        dev = np.max(np.abs(np.sort(enc.sigma) - want))
         ok = ok and dev < 1e-10
     for _ in range(100):
         n = int(rng.integers(2, 17))
@@ -145,16 +145,16 @@ def test_criterion_06_qsve_contract():
         p = Distribution.dirichlet(n, rng)
         enc = projected_encoding_classical(build_purified_oracle_classical(p))
         for m in (1, 3, 5):
-            res = qsve(enc, m, QueryLedger(), mode="ideal_svd")
-            err = np.abs(np.sort(res.estimates) - np.sort(enc.true_values()))
+            est = qsve(enc, m, mode="ideal_svd")
+            err = np.abs(np.sort(est) - np.sort(enc.true_values()))
             ok = ok and np.max(err) <= 2.0 ** (-(m + 1)) + 1e-15
     # exactly-representable spectra: every sqrt(p_i) on the 2^-m grid
     for probs in ([0.25] * 4, [1.0, 0.0], [1.0, 0.0, 0.0, 0.0]):
         enc = projected_encoding_classical(
             build_purified_oracle_classical(Distribution(np.array(probs))))
         for m in (1, 2, 3):
-            ideal = qsve(enc, m, QueryLedger(), mode="ideal_svd").estimates
-            sv = qsve(enc, m, QueryLedger(), mode="statevector_qpe").estimates
+            ideal = qsve(enc, m, mode="ideal_svd")
+            sv = qsve(enc, m, mode="statevector_qpe")
             ok = ok and np.allclose(np.sort(ideal), np.sort(sv), atol=1e-12)
     report(6, ok, "singular value estimates land within half a grid step; "
                   "statevector mode matches ideal on representable spectra")
@@ -168,7 +168,7 @@ def test_criterion_07_qae_coverage():
         for m in (16, 64, 256):
             bound = qae_error_bound(p, m)
             hits = sum(
-                abs(qae(p, m, "sampled", rng, QueryLedger()).value - p) <= bound
+                abs(qae(p, m, "sampled", rng, QueryLedger()) - p) <= bound
                 for _ in range(1000))
             ok = ok and hits / 1000.0 >= floor
     report(7, ok, "sampled amplitude estimation hits its error bound at the 8/pi^2 rate")
@@ -183,14 +183,11 @@ def test_criterion_08_end_to_end_guarantee():
             target = promise_threshold(gamma, 0.1)
             for i in range(20):
                 p = high_entropy_distribution(n, target, seed=i)
-                derived = derive_params(params)
                 for seed in range(5):
-                    rep = estimate_entropy(p, params, mode="bound_only",
-                                           seed=seed, derived=derived)
+                    rep = estimate_entropy(p, params, mode="bound_only", seed=seed)
                     ok = ok and rep.within_guarantee
                     rep = estimate_entropy(p, params, mode="sampled",
-                                           seed=seed, repetitions=9,
-                                           derived=derived)
+                                           seed=seed, repetitions=9)
                     sampled_total += 1
                     sampled_hits += int(rep.within_guarantee)
     ok = ok and sampled_hits / sampled_total >= 0.95

@@ -111,12 +111,14 @@ def test_cli_estimate_jsonl(tmp_path, capsys):
     rec = json.loads(lines[0])
     assert rec["n"] == 64
     assert list(rec.keys()) == sorted(rec.keys())
-    # statevector mode builds the dense block it needs
+    # statevector mode runs phase estimation on each singular value
     assert run_cli(["estimate", "--gen", "dirichlet:n=8,seed=7", "--gamma", "1.5",
                     "--mode", "statevector", "--out", str(out)]) == 0
     want = estimate_entropy(random_distribution(8, 7), EstimatorParams(n=8, gamma=1.5),
                             seed=0, sve_mode="statevector_qpe")
     assert json.loads(out.read_text())["h_tilde"] == want.h_tilde
+    assert run_cli(["estimate", "--gen", "dirichlet:n=64", "--gamma", "1.5",
+                    "--mode", "statevector", "--out", str(out)]) == 0
 
 
 def test_cli_estimate_check_pass_and_fail(tmp_path):
@@ -138,6 +140,9 @@ def test_cli_invalid_args_exit_2(tmp_path, capsys):
                         "--gamma", "2.0"]) == 2
     assert run_cli(["sweep", "--n-list", "64,abc", "--gamma", "2.0"]) == 2
     assert "'bogus'" in capsys.readouterr().err
+    assert run_cli(["estimate", "--gen", "dirichlet:n=513", "--gamma", "1.5",
+                    "--mode", "statevector", "--out", str(tmp_path / "z.jsonl")]) == 2
+    assert "at most 512 singular values" in capsys.readouterr().err
     # statevector SVE is offered only where it is used
     for task, flags in (("additive", ["--eps-add", "0.5"]),
                         ("threshold", ["--high", "6", "--low", "3"])):
@@ -165,11 +170,13 @@ def test_cli_additive_and_threshold(tmp_path):
                     "--low", "3", "--out", str(t_out)]) == 0
     rec = json.loads(t_out.read_text().splitlines()[0])
     assert rec["high"] is True
-    # --check: H = 6 <= low decided low passes; H = 8 = high decided low
-    # (h_tilde = 4 sits exactly on the cut) fails; H inside the gap checks nothing
+    # --check: H = 6 <= low decided low passes; H = 8 = high decided high
+    # passes; H inside the gap checks nothing; a gap within the (1+2 eps)
+    # slack is invalid input
     for gen, high, low, code in (("uniform:n=64", "100", "50", 0),
-                                 ("uniform:n=256", "8", "2", 3),
-                                 ("uniform:n=256", "9", "7", 0)):
+                                 ("uniform:n=256", "8", "2", 0),
+                                 ("uniform:n=256", "9", "5", 0),
+                                 ("uniform:n=256", "9", "7", 2)):
         assert run_cli(["threshold", "--gen", gen, "--high", high, "--low", low,
                         "--check", "--out", str(t_out)]) == code
 

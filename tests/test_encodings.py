@@ -40,7 +40,7 @@ def test_classical_encoding_spectrum():
         p = rand_dist(int(np.random.default_rng(seed).integers(2, 40)), seed)
         enc = projected_encoding_classical(build_purified_oracle_classical(p))
         assert enc.alpha == 1.0
-        got = np.sort(enc.singular_values())
+        got = np.sort(enc.sigma)
         want = np.sort(np.sqrt(p.probs))
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -59,7 +59,7 @@ def test_quantum_encoding_spectrum():
         rho = DensityMatrix.random(n, np.random.default_rng(seed + 100))
         enc = projected_encoding_quantum(build_purified_oracle_quantum(rho))
         assert abs(enc.alpha - np.sqrt(n)) < 1e-12
-        got = np.sort(enc.singular_values())
+        got = np.sort(enc.sigma)
         want = np.sort(np.sqrt(rho.spectrum().probs / n))
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -102,8 +102,8 @@ def test_spectral_shortcut_matches_dense_classical():
     p = rand_dist(24, 9)
     dense = projected_encoding_classical(build_purified_oracle_classical(p))
     fast = spectral_encoding_classical(p)
-    assert np.max(np.abs(np.sort(dense.singular_values()) -
-                         np.sort(fast.singular_values()))) < 1e-9
+    assert np.max(np.abs(np.sort(dense.sigma) -
+                         np.sort(fast.sigma))) < 1e-9
     assert fast.alpha == dense.alpha
 
 
@@ -111,8 +111,8 @@ def test_spectral_shortcut_matches_dense_quantum():
     rho = DensityMatrix.random(8, np.random.default_rng(10))
     dense = projected_encoding_quantum(build_purified_oracle_quantum(rho))
     fast = spectral_encoding_quantum(rho.spectrum())
-    assert np.max(np.abs(np.sort(dense.singular_values()) -
-                         np.sort(fast.singular_values()))) < 1e-9
+    assert np.max(np.abs(np.sort(dense.sigma) -
+                         np.sort(fast.sigma))) < 1e-9
     assert abs(fast.alpha - dense.alpha) < 1e-12
 
 

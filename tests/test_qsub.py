@@ -39,10 +39,11 @@ def test_qsve_ideal_contract():
         p = Distribution.dirichlet(n, rng)
         enc = make_enc(p.probs)
         for m in (2, 4, 6):
-            led = QueryLedger()
-            res = qsve(enc, m, led, mode="ideal_svd")
-            err = np.abs(np.sort(res.estimates) - np.sort(enc.true_values()))
+            est = qsve(enc, m, mode="ideal_svd")
+            err = np.abs(np.sort(est) - np.sort(enc.true_values()))
             assert np.max(err) <= 2.0 ** (-(m + 1)) + 1e-15
+            led = QueryLedger()
+            led.charge_sve(enc.alpha, m)
             assert led.uses_U == led.uses_U_dagger
             assert led.uses_U >= 1
 
@@ -51,16 +52,15 @@ def test_qsve_statevector_matches_ideal_on_representable_spectra():
     # uniform on 4 outcomes: sqrt(p) = 0.5, exactly on every grid with m >= 1
     enc = make_enc([0.25] * 4)
     for m in (1, 2, 3):
-        ideal = qsve(enc, m, QueryLedger(), mode="ideal_svd")
-        sv = qsve(enc, m, QueryLedger(), mode="statevector_qpe")
-        assert np.allclose(np.sort(ideal.estimates), np.sort(sv.estimates),
-                           atol=1e-12)
+        ideal = qsve(enc, m, mode="ideal_svd")
+        sv = qsve(enc, m, mode="statevector_qpe")
+        assert np.allclose(np.sort(ideal), np.sort(sv), atol=1e-12)
 
 
 def test_qsve_ledger_charging():
     enc = make_enc([0.5, 0.5])
     led = QueryLedger()
-    qsve(enc, 3, led)
+    led.charge_sve(enc.alpha, 3)
     # 2 * ceil(alpha * 2^m) rounds of U and U dagger
     assert led.uses_U == 2 * math.ceil(enc.alpha * 2 ** 3)
     assert led.total_queries() > 0
@@ -70,10 +70,9 @@ def test_qsvt_transforms_singular_values():
     enc = make_enc([0.64, 0.36])
     poly = taylor_poly_pos(1.0, 0.1, 1e-6)  # exact x/2
     led = QueryLedger()
-    out = qsvt_apply(enc, poly, led)
-    assert out.alpha == 1.0
-    want = np.sort(np.abs([poly(s) for s in enc.singular_values()]))
-    assert np.allclose(np.sort(out.singular_values()), want, atol=1e-12)
+    out = qsvt_apply(enc.sigma, poly, led)
+    want = np.sort(np.abs([poly(s) for s in enc.sigma]))
+    assert np.allclose(np.sort(out), want, atol=1e-12)
     assert led.uses_U == poly.degree
 
 
@@ -93,7 +92,7 @@ def test_m_for_precision():
 def test_qae_exact_mode():
     led = QueryLedger()
     est = qae(0.3, 64, "exact", np.random.default_rng(0), led, prep_cost_U=5)
-    assert est.value == 0.3
+    assert est == 0.3
     assert led.uses_U == 64 * 5
     assert led.uses_U_dagger == 64 * 5
 
@@ -103,8 +102,8 @@ def test_qae_bound_only_within_bound():
     for p in (0.05, 0.3, 0.7, 0.95):
         for m in (16, 128):
             est = qae(p, m, "bound_only", rng, QueryLedger())
-            assert abs(est.value - p) <= qae_error_bound(p, m) + 1e-12
-            assert 0.0 <= est.value <= 1.0
+            assert abs(est - p) <= qae_error_bound(p, m) + 1e-12
+            assert 0.0 <= est <= 1.0
 
 
 def test_qae_outcome_distribution_is_normalized():
@@ -139,7 +138,7 @@ def test_qae_sampled_coverage():
     trials = 400
     for _ in range(trials):
         est = qae(0.3, 64, "sampled", rng, QueryLedger())
-        if abs(est.value - 0.3) <= qae_error_bound(0.3, 64):
+        if abs(est - 0.3) <= qae_error_bound(0.3, 64):
             hits += 1
     assert hits / trials >= 8.0 / math.pi ** 2 - 0.05
 
@@ -148,7 +147,7 @@ def test_qae_exact_amplitude_is_fixed_point():
     # sin^2(pi j / M) grid contains p when theta/pi is a multiple of 1/M
     p = math.sin(math.pi * 3 / 16) ** 2
     est = qae(p, 16, "sampled", np.random.default_rng(3), QueryLedger())
-    assert abs(est.value - p) < 1e-12
+    assert abs(est - p) < 1e-12
 
 
 def test_boost_median():
