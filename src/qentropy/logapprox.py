@@ -17,6 +17,8 @@ import numpy as np
 from .dists import ValidationError
 
 MAX_DEGREE = 5_000_000
+EVAL_CHUNK = 2**15      # entries of one evaluation chunk's power matrix (256 KB)
+SERIES_CHUNK = 2**16    # most binomial-series terms built per cumulative product
 
 
 def choose_exponent(gamma: float, beta: float) -> float:
@@ -49,6 +51,9 @@ class TaylorPolynomial:
 
     coeffs[k] multiplies (|x| - 1)^k; evaluation at |x| makes the realized
     function even in x, matching how it is applied to singular values.
+    Evaluation is blocked (Paterson-Stockmeyer): the coefficients split into
+    about sqrt(degree) blocks of sqrt(degree) terms, the block sums come from
+    one matrix product per chunk of points, and Horner runs over the blocks.
     `normalization` is the scale of the approximated target: poly(x) is
     within eps_cert of normalization * x^(sign*c) on [delta, 1].
     """
@@ -64,14 +69,42 @@ class TaylorPolynomial:
 
     def __call__(self, x):
         x = np.abs(np.asarray(x, dtype=float))
-        if x.size == 0:  # no heavy labels: skip the degree-long loop
+        if x.size == 0:  # no heavy labels: nothing to evaluate
             return x
-        y = x - 1.0
-        acc = np.full_like(y, self.coeffs[self.degree])
-        for c in self.coeffs[:self.degree][::-1].tolist():
-            acc *= y  # in place: no temporaries across the degree-long loop
-            acc += c
-        return float(acc) if acc.ndim == 0 else acc
+        y = x.ravel() - 1.0
+        # Paterson-Stockmeyer blocking: sum_k c_k y^k = sum_j z^j B_j(y) with
+        # z = y^b and B_j the degree-(b-1) block j, so one GEMM forms every
+        # block sum and Horner runs over K ~ sqrt(degree) blocks, not degree terms
+        b = max(1, math.isqrt(self.degree + 1))
+        n_blocks = -(-(self.degree + 1) // b)
+        blocks = np.zeros(n_blocks * b)
+        blocks[:self.degree + 1] = self.coeffs[:self.degree + 1]
+        blocks = blocks.reshape(n_blocks, b)        # row j: coefficients of block j
+        rows = min(y.size, max(1, EVAL_CHUNK // b))
+        # buffers reused by every chunk: fresh ones per chunk cost more than the work
+        powers = np.empty((b, rows))                # row k: y^k over the chunk
+        sums = np.empty((n_blocks, rows))           # row j: B_j(y) over the chunk
+        z = np.empty(rows)
+        powers[0] = 1.0
+        out = np.empty_like(y)
+        for start in range(0, y.size, rows):
+            yc = y[start:start + rows]
+            if yc.size < rows:                      # the last, shorter chunk
+                powers, sums, z = powers[:, :yc.size], sums[:, :yc.size], z[:yc.size]
+            w = 1
+            while w < b:                            # rows [w, 2w) = rows [0, w) * y^w
+                step = min(w, b - w)
+                np.multiply(powers[w - 1], yc, out=z)
+                np.multiply(powers[:step], z, out=powers[w:w + step])
+                w += step
+            np.matmul(blocks, powers, out=sums)
+            np.multiply(powers[b - 1], yc, out=z)   # z = y^b
+            acc = sums[n_blocks - 1]
+            for j in range(n_blocks - 2, -1, -1):
+                acc *= z
+                acc += sums[j]
+            out[start:start + yc.size] = acc
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def target(self, x):
         x = np.asarray(x, dtype=float)
@@ -118,20 +151,30 @@ def _binomial_series(c: float, sign: int, delta: float, eps: float,
     """
     s = sign * c
     r = 1.0 - delta
-    coeffs = [1.0]
-    b = 1.0  # binom(s, k), signed
-    k = 0
+    chunks = [np.ones(1)]
+    last = 1.0  # binom(s, k), signed, of the last term built
+    k = 0       # terms [1, k] are built and none of them meets the stop test
+    size = 64   # chunks double up to SERIES_CHUNK, so low degrees build few terms
     while True:
-        b_next = b * (s - k) / (k + 1)
-        if norm * (abs(b_next) * r ** (k + 1) / delta) <= eps:
-            break
-        coeffs.append(b_next)
-        b = b_next
-        k += 1
-        if k > MAX_DEGREE:
+        ks = np.arange(k, k + size, dtype=float)
+        terms = (s - ks) / (ks + 1.0)             # binom(s, j+1) / binom(s, j), j in ks
+        terms[0] *= last
+        np.cumprod(terms, out=terms)              # binom(s, j+1), j in ks
+        stop = norm * (np.abs(terms) * r ** (ks + 1.0) / delta) <= eps
+        hit = int(np.argmax(stop)) if stop.any() else size
+        if k + hit > MAX_DEGREE:
             raise ValidationError(f"binomial series of x^{s:.4g} exceeds degree {MAX_DEGREE}")
+        if hit < size:
+            chunks.append(terms[:hit])
+            k += hit
+            b_next = float(terms[hit])
+            break
+        chunks.append(terms)
+        k += size
+        last = float(terms[-1])
+        size = min(2 * size, SERIES_CHUNK)
     return TaylorPolynomial(
-        coeffs=norm * np.asarray(coeffs), degree=k, c=c, sign=sign, delta=delta,
+        coeffs=norm * np.concatenate(chunks), degree=k, c=c, sign=sign, delta=delta,
         normalization=norm, eps_cert=norm * abs(b_next) * r ** (k + 1) / delta,
     )
 
@@ -178,7 +221,7 @@ def certify(poly: TaylorPolynomial, grid_points: int = 20001) -> CertReport:
         raise ValidationError("grid_points must be at least 1000")
     full = _cert_grid(-1.0, 1.0, grid_points)
     dom = _cert_grid(poly.delta, 1.0, grid_points)
-    # one Horner pass over both grids: the loop runs `degree` times per call
+    # one evaluation pass over both grids
     both = np.concatenate((full, dom))
     vals = poly(both)
     max_abs = float(np.abs(vals[:full.size]).max())

@@ -3,8 +3,9 @@
 Singular value estimation (ideal grid-rounding semantics plus a small-scale
 statevector phase-estimation cross-check), singular value transformation
 (matrix-function semantics), and amplitude estimation (exact value, adversarial
-within-bound perturbation, or sampling from the exact phase-estimation outcome
-distribution).  Each takes and returns plain arrays and floats.  QSVT and QAE
+within-bound perturbation, or one exact draw from the phase-estimation outcome
+distribution, made by rejection in O(1) time rather than by building all M
+outcomes).  Each takes and returns plain arrays and floats.  QSVT and QAE
 charge a shared query ledger; SVE is charged by the estimator stages that use
 it, through `QueryLedger.charge_sve`.
 """
@@ -163,9 +164,54 @@ def _phase_estimation(theta: float, rounds: int) -> tuple[np.ndarray, np.ndarray
     return values, probs
 
 
+def _draw_phase_estimation(theta: float, rounds: int, rng: np.random.Generator) -> int:
+    """One outcome j of M-point phase estimation, distributed as `_phase_estimation`.
+
+    With x = M theta = j0 + f, outcome j0 + k (mod M) has probability
+    sin^2(pi f) / (M^2 sin^2(pi u)), u = (f - k)/M taken in (-1/2, 1/2].  As
+    2|u| <= sin(pi |u|) <= pi |u| there, it is proportional to 1/(f-k)^2 up
+    to a factor in [4/pi^2, 1], so rejection from the envelope 1/(f-k)^2 is
+    exact.  The envelope is two atoms, k = 0 (mass 1/f^2) and k = 1 (mass
+    1/(1-f)^2), and two tails whose cell masses telescope,
+    1/((k-1-f)(k-f)) for k >= 2 (total 1/(1-f)) and 1/((m-1+f)(m+f)) for
+    k = -m <= -1 (total 1/f), each drawn by inverting its closed-form CDF.
+    Every attempt is accepted with probability at least 1/3.
+    """
+    x = rounds * theta
+    j0 = math.floor(x)
+    f = x - j0
+    if abs(math.sin(math.pi * f / rounds)) <= 1e-15:  # on the grid, as in _phase_estimation
+        return j0 % rounds
+    atom0, atom1, tail_up, tail_down = 1.0 / f**2, 1.0 / (1.0 - f) ** 2, 1.0 / (1.0 - f), 1.0 / f
+    total = atom0 + atom1 + tail_up + tail_down
+    while True:
+        pick = rng.random() * total
+        v = 1.0 - rng.random()  # in (0, 1]
+        if pick < atom0:
+            k, env = 0, atom0
+        elif pick < atom0 + atom1:
+            k, env = 1, atom1
+        elif pick < atom0 + atom1 + tail_up:
+            k = math.floor(1.0 + f + (1.0 - f) / v)
+            env = 1.0 / ((k - 1 - f) * (k - f))
+        else:
+            m = math.floor(1.0 - f + f / v)
+            k, env = -m, 1.0 / ((m - 1 + f) * (m + f))
+        u = (f - k) / rounds
+        # accept with probability 4u^2 / sin^2(pi u) * (1/(f-k)^2) / env <= 1
+        if -0.5 < u <= 0.5 and (rng.random() * env * (f - k) ** 2 * math.sin(math.pi * u) ** 2
+                                <= 4.0 * u * u):
+            return (j0 + k) % rounds
+
+
+def _qae_phase(p: float) -> float:
+    """Phase theta in [0, 1/2] with sin^2(pi theta) = p."""
+    return math.asin(math.sqrt(p)) / math.pi
+
+
 def qae_outcome_distribution(p: float, rounds: int) -> tuple[np.ndarray, np.ndarray]:
     """Support sin^2(pi j / M) and probabilities of M-round amplitude estimation."""
-    return _phase_estimation(math.asin(math.sqrt(p)) / math.pi, rounds)
+    return _phase_estimation(_qae_phase(p), rounds)
 
 
 def qae(p: float, rounds: int, mode: str, rng: np.random.Generator,
@@ -173,8 +219,10 @@ def qae(p: float, rounds: int, mode: str, rng: np.random.Generator,
     """Estimate amplitude p with M Grover rounds.
 
     exact: returns p itself.  bound_only: seeded uniform perturbation within
-    the error bound (adversarial but admissible).  sampled: draws
-    from the exact M-round phase-estimation outcome distribution.
+    the error bound (adversarial but admissible).  sampled: one exact draw
+    from the M-round phase-estimation outcome distribution, made in O(1)
+    time by `_draw_phase_estimation`; the returned value sin^2(pi j / M) is
+    computed as in `qae_outcome_distribution`.
 
     Each round costs one preparation and one inverse preparation, each of
     which is `prep_cost_U` oracle uses.
@@ -191,8 +239,8 @@ def qae(p: float, rounds: int, mode: str, rng: np.random.Generator,
         bound = qae_error_bound(p, rounds)
         return min(1.0, max(0.0, p + rng.uniform(-bound, bound)))
     if mode == "sampled":
-        values, probs = qae_outcome_distribution(p, rounds)
-        return float(rng.choice(values, p=probs))
+        j = _draw_phase_estimation(_qae_phase(p), rounds, rng)
+        return float(np.square(np.sin(j * np.pi / rounds)))
     raise ValidationError(f"unknown qae mode {mode!r}")
 
 

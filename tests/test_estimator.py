@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import qentropy.estimator as estimator_module
 from qentropy import (
@@ -196,6 +196,8 @@ def _params(n):
 
 # (call, (h_tilde, uses_U, controlled_U, extra_gates, deg_pos, deg_neg)), recorded
 # before the estimator planned once per call: planning must not change a bit.
+# h_tilde was re-recorded for density32, dense_oracle8 and statevector_qpe8 when
+# sampled QAE became an exact rejection draw and polynomials a blocked evaluation.
 GOLDEN = {
     "zipf4096_sampled": (
         lambda: estimate_entropy(Distribution.zipf(4096, 1.0), _params(4096),
@@ -204,7 +206,7 @@ GOLDEN = {
     "density32": (
         lambda: estimate_entropy(DensityMatrix.random(32, np.random.default_rng(4)),
                                  _params(32), mode="sampled", seed=1, repetitions=3),
-        (4.143809910780301, 5573568, 6, 2727, 146, 157)),
+        (4.100125660740255, 5573568, 6, 2727, 146, 157)),
     "additive_zipf256": (
         lambda: estimate_additive(Distribution.zipf(256, 1.0), 0.25, mode="sampled", seed=2),
         (6.221401425857255, 22456644258, 2, 25437, 4232, 4247)),
@@ -212,12 +214,12 @@ GOLDEN = {
         lambda: estimate_entropy(
             build_purified_oracle_classical(Distribution.dirichlet(8, np.random.default_rng(5))),
             _params(8), mode="bound_only", seed=6, repetitions=3),
-        (2.427644996637545, 191520, 6, 171, 9, 10)),
+        (2.4276449966375457, 191520, 6, 171, 9, 10)),
     "statevector_qpe8": (
         lambda: estimate_entropy(Distribution.dirichlet(8, np.random.default_rng(7)), _params(8),
                                  mode="sampled", seed=8, repetitions=3,
                                  sve_mode="statevector_qpe"),
-        (2.219072852655004, 191520, 6, 171, 9, 10)),
+        (2.197063293321409, 191520, 6, 171, 9, 10)),
 }
 
 
@@ -279,17 +281,43 @@ def test_non_finite_input_is_rejected(bad):
         DensityMatrix(mat)
 
 
+def _family_source(family, n, seed):
+    return {"uniform": lambda: Distribution.uniform(n),
+            "zipf": lambda: Distribution.zipf(n, 1.0),
+            "dirichlet": lambda: Distribution.dirichlet(n, np.random.default_rng(seed))}[family]()
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 4096), gamma=st.floats(1.01, 6.0), eps=st.floats(0.01, 0.99),
        mode=st.sampled_from(["exact", "bound_only", "sampled"]),
        family=st.sampled_from(["uniform", "zipf", "dirichlet"]), seed=st.integers(0, 2**16))
 def test_valid_params_estimate_or_raise_validation_error(n, gamma, eps, mode, family, seed):
-    source = {"uniform": lambda: Distribution.uniform(n),
-              "zipf": lambda: Distribution.zipf(n, 1.0),
-              "dirichlet": lambda: Distribution.dirichlet(n, np.random.default_rng(seed))}[family]()
     try:
-        rep = estimate_entropy(source, EstimatorParams(n=n, gamma=gamma, eps=eps),
-                               mode=mode, seed=seed)
+        rep = estimate_entropy(_family_source(family, n, seed),
+                               EstimatorParams(n=n, gamma=gamma, eps=eps), mode=mode, seed=seed)
     except ValidationError:
         return
     assert math.isfinite(rep.h_tilde) and rep.h_tilde >= 0.0
+
+
+# Known defect: eps2 and eps3 are sized from ln(gamma) while the power exponent
+# uses gamma' = sqrt(log2(n) / (2m)), so as gamma' nears 1 the heavy QAE error,
+# divided by 2 a ln 2, swamps the estimate (h_tilde = 0 for H = 8 below).  Sizing
+# the budgets from gamma' changes every ledger with gamma' < gamma, so it is left
+# to a change that re-records them; this marker then comes off.
+@pytest.mark.xfail(strict=True, reason="heavy error budgets use ln(gamma), the exponent gamma'")
+@example(n=257, gamma=1.125, eps=0.5, family="uniform", seed=0)
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(256, 16384), gamma=st.floats(1.05, 4.0), eps=st.floats(0.05, 0.9),
+       family=st.sampled_from(["uniform", "zipf", "dirichlet"]), seed=st.integers(0, 2**16))
+def test_bound_only_meets_guarantee_under_promise(n, gamma, eps, family, seed):
+    # bound_only moves every QAE answer anywhere inside its error bound; the
+    # (1+2eps)gamma window must still hold whenever H meets the promise
+    try:
+        rep = estimate_entropy(_family_source(family, n, seed),
+                               EstimatorParams(n=n, gamma=gamma, eps=eps), mode="bound_only",
+                               seed=seed)
+    except ValidationError:
+        return
+    assume(rep.promise_satisfied)
+    assert rep.within_guarantee

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from qentropy import EstimatorParams, derive_params
+from qentropy.estimator import CERT_GRID_POINTS
 from qentropy.logapprox import (
+    TaylorPolynomial,
     _cert_grid,
     certify,
     choose_exponent,
@@ -116,12 +119,47 @@ def test_certify_matches_separate_grid_passes(make):
     assert np.array_equal(poly.coeffs, ref.coeffs)
 
 
-def test_horner_matches_out_of_place_loop():
-    poly = taylor_poly_neg(0.3, 0.05, 1e-6)
-    x = np.linspace(0.0, 1.0, 501)
-    y = x - 1.0
+def _horner_out_of_place(poly, x):
+    y = np.abs(x) - 1.0
     acc = np.full_like(y, poly.coeffs[poly.degree])
     for k in range(poly.degree - 1, -1, -1):
         acc = acc * y + poly.coeffs[k]
-    assert np.array_equal(poly(x), acc)
+    return acc
+
+
+def _truncated(poly, degree):
+    return TaylorPolynomial(coeffs=poly.coeffs[:degree + 1].copy(), degree=degree, c=poly.c,
+                            sign=poly.sign, delta=poly.delta,
+                            normalization=poly.normalization, eps_cert=poly.eps_cert)
+
+
+def _assert_matches_horner(poly, x):
+    # blocked evaluation sums in another order: allow 64 ulps of sum |c_k|
+    tol = 64 * np.finfo(float).eps * np.abs(poly.coeffs).sum()
+    assert np.max(np.abs(poly(x) - _horner_out_of_place(poly, x))) <= tol
+
+
+# degrees 15, 16 and 17 sit around a block width squared (b = 4, b^2 = 16)
+@pytest.mark.parametrize("make", [
+    *[pytest.param(lambda d=d: _truncated(taylor_poly_neg(0.3, 0.05, 1e-6), d), id=f"deg{d}")
+      for d in (0, 1, 15, 16, 17)],
+    pytest.param(lambda: taylor_poly_pos(0.25, 0.04, 1e-7), id="deg248"),
+    # four chunks of points, the last one short
+    pytest.param(lambda: taylor_poly_neg(0.05, 0.004, 1e-9), id="deg3623"),
+])
+def test_blocked_evaluation_matches_out_of_place_horner(make):
+    poly = make()
+    _assert_matches_horner(poly, np.linspace(-1.0, 1.0, 2001))
     assert poly(0.4) == float(poly(np.array([0.4]))[0])
+    assert poly(np.array([])).shape == (0,)
+
+
+def test_blocked_evaluation_matches_horner_on_additive_certify_grid():
+    # the degree-91k polynomials of additive mode at n = 4096, eps_add = 0.25;
+    # every eighth point of the certification grids keeps the reference loop short
+    d = derive_params(EstimatorParams(n=4096, gamma=1.0 + 0.25 / 12, eps=0.25 / 48), m_bits=12)
+    for poly in (d.poly_pos, d.poly_neg):
+        assert poly.degree > 90_000
+        grid = np.concatenate((_cert_grid(-1.0, 1.0, CERT_GRID_POINTS),
+                               _cert_grid(poly.delta, 1.0, CERT_GRID_POINTS)))
+        _assert_matches_horner(poly, grid[::8])

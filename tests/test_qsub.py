@@ -19,6 +19,7 @@ from qentropy import (
     M_for_precision,
 )
 from qentropy.logapprox import taylor_poly_pos
+from qentropy.qsub import _draw_phase_estimation, _phase_estimation
 
 
 def make_enc(probs):
@@ -141,6 +142,52 @@ def test_qae_sampled_coverage():
         if abs(est - 0.3) <= qae_error_bound(0.3, 64):
             hits += 1
     assert hits / trials >= 8.0 / math.pi ** 2 - 0.05
+
+
+def _chi2_critical(dof: int, z: float = 3.09) -> float:
+    """Wilson-Hilferty approximation of the chi-square quantile at normal score z (0.999)."""
+    h = 2.0 / (9.0 * dof)
+    return dof * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+# (M, theta): four spread-out phases, the last one wrapping past M; small M; theta
+# on the grid; M = 1; and f = M theta - floor(M theta) of about 1e-12
+@pytest.mark.parametrize("rounds, theta", [(64, 0.1234), (257, 0.49), (1000, 0.0007),
+                                           (4096, 0.9999), (7, 0.3), (40, 3 / 40), (1, 0.3),
+                                           (1000, 0.4 + 1e-15)])
+def test_exact_draw_matches_phase_estimation_distribution(rounds, theta):
+    draws_n = 20_000
+    rng = np.random.default_rng(11)
+    draws = np.array([_draw_phase_estimation(theta, rounds, rng) for _ in range(draws_n)])
+    assert draws.min() >= 0 and draws.max() < rounds
+    probs = _phase_estimation(theta, rounds)[1]
+    if probs.max() > 1.0 - 1e-9:  # one outcome holds all but 1e-9 of the mass
+        assert np.all(draws == np.argmax(probs))
+        return
+    counts = np.bincount(draws, minlength=rounds).astype(float)
+    expected = probs * draws_n
+    kept = expected >= 5.0
+    obs, exp = list(counts[kept]), list(expected[kept])
+    pooled_obs, pooled_exp = counts[~kept].sum(), expected[~kept].sum()
+    if pooled_exp >= 5.0:     # the tail bins pooled into one
+        obs.append(pooled_obs)
+        exp.append(pooled_exp)
+    else:                     # too small even pooled: fold it into the last kept bin
+        obs[-1] += pooled_obs
+        exp[-1] += pooled_exp
+    obs, exp = np.array(obs), np.array(exp)
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    assert stat <= _chi2_critical(obs.size - 1)
+
+
+def test_sampled_qae_returns_the_reference_outcome_value():
+    p, rounds = 0.3, 1000
+    values, probs = qae_outcome_distribution(p, rounds)
+    rng = np.random.default_rng(12)
+    draws = [qae(p, rounds, "sampled", rng, QueryLedger()) for _ in range(200)]
+    # bit for bit, the value of the modal outcome is among the draws
+    assert float(values[np.argmax(probs)]) in draws
+    assert set(draws) <= set(values.tolist())
 
 
 def test_qae_exact_amplitude_is_fixed_point():
