@@ -119,11 +119,14 @@ def load_input(path: str):
     raise ValidationError("input file is neither a distribution nor a density matrix")
 
 
-def _resolve_source(args, seed: int):
+def _source_at_seed(args):
+    """seed -> source.  An --input file is read once per run; a --gen spec is
+    built at each seed, since the dirichlet and highent generators read it."""
     if args.input:
-        return load_input(args.input)
+        src = load_input(args.input)
+        return lambda seed: src
     if args.gen:
-        return parse_gen(args.gen, seed)
+        return lambda seed: parse_gen(args.gen, seed)
     raise ValidationError("provide --input or --gen")
 
 
@@ -146,8 +149,8 @@ def _exit_code(args, ok: bool) -> int:
 def _trials(args, trial) -> int:
     """Run trial(src, seed) -> (record, ok) at each seed and write the records."""
     first, count = (0, args.seeds) if args.trials is None else (args.seeds, args.trials)
-    results = [trial(_resolve_source(args, seed), seed)
-               for seed in range(first, first + count)]
+    source = _source_at_seed(args)
+    results = [trial(source(seed), seed) for seed in range(first, first + count)]
     _emit([rec for rec, _ in results], args.out)
     return _exit_code(args, all(ok for _, ok in results))
 
@@ -288,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     trials(p, None)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--eta-sample", dest="eta_sample", type=float, default=0.0,
-                   help="sampling exponent boost in s = n^((1+eta)/gamma^2)")
+                   help="sampling exponent boost in s = n^((1+eta)/gamma^2) log2(n)")
 
     return ap
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,9 +92,15 @@ class Distribution:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A density matrix: Hermitian, PSD, unit trace."""
+    """A density matrix: Hermitian, PSD, unit trace.
+
+    Validation computes the eigenvalues to check PSD; they are kept, ascending
+    and read-only, in `eigenvalues`, so `spectrum()` and every estimate on the
+    matrix reuse them instead of decomposing it again.
+    """
 
     mat: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
@@ -111,16 +117,20 @@ class DensityMatrix:
         if ev.min() < -1e-10:
             raise ValidationError("density matrix must be positive semidefinite")
         m.setflags(write=False)
+        ev.setflags(write=False)
         object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "eigenvalues", ev)
 
     @property
     def n(self) -> int:
         return int(self.mat.shape[0])
 
     def spectrum(self) -> Distribution:
-        """Eigenvalue spectrum as a distribution, tiny negatives clamped to 0."""
-        ev = np.linalg.eigvalsh(self.mat)
-        ev = np.where(ev < EIG_CLAMP, 0.0, ev)
+        """Eigenvalue spectrum as a distribution, tiny negatives clamped to 0.
+
+        Reads the eigenvalues that validation computed; no decomposition runs.
+        """
+        ev = np.where(self.eigenvalues < EIG_CLAMP, 0.0, self.eigenvalues)
         return Distribution(ev / ev.sum())
 
     # -- constructors -------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qentropy import (
+    DensityMatrix,
     Distribution,
     EstimatorParams,
     ValidationError,
@@ -17,6 +18,7 @@ from qentropy import (
     shannon_entropy,
     spectral_encoding_quantum,
 )
+import qentropy.cli as cli_module
 from qentropy.cli import main
 
 
@@ -59,7 +61,7 @@ def test_sweep_quantum_target():
 def test_classical_baseline_sane():
     p = Distribution.uniform(256)
     rep = classical_baseline(p, 2.0, seed=0)
-    assert rep.samples == math.ceil(256 ** 0.25)
+    assert rep.samples == math.ceil(256 ** 0.25 * 8) == 32
     assert rep.h_true == 8.0
     assert 0.0 <= rep.h_hat <= 2.0 * 8.0 + 1.0
 
@@ -198,11 +200,41 @@ def test_cli_lowerbound_and_baseline(tmp_path):
                     "--check"]) == 0
     assert run_cli(["baseline", "--gen", "zipf:n=128", "--gamma", "2.0",
                     "--out", str(tmp_path / "b.jsonl")]) == 0
-    # --check: h_hat must lie in [H/gamma, gamma*H]; two samples of a uniform
-    # n=64 give h_hat = 1 bit against H/gamma = 3
-    for gen, eta, code in (("zipf:n=256", "3", 0), ("uniform:n=64", "-0.9", 3)):
+    # --check: h_hat must lie in [H/gamma, gamma*H]; five samples of a Zipf
+    # n=16 give h_hat = 1.24 bits against H/gamma = 1.70
+    for gen, eta, code in (("zipf:n=256", "3", 0), ("zipf:n=16", "-0.9", 3)):
         assert run_cli(["baseline", "--gen", gen, "--gamma", "2.0", "--eta-sample", eta,
                         "--check", "--out", str(tmp_path / "b.jsonl")]) == code
+
+
+@pytest.mark.parametrize("gen, gamma", [("uniform:n=256", "2"), ("zipf:n=128", "2"),
+                                        ("dirichlet:n=256", "2"), ("uniform:n=1024", "1.5"),
+                                        ("uniform:n=64", "2")])
+def test_cli_baseline_meets_check_at_eta_zero(gen, gamma, tmp_path):
+    # with s = n^(1/gamma^2) samples, not n^(1/gamma^2) log2(n), every sampled
+    # label was heavy and h_hat <= log2(n)/gamma^2 < H/gamma: the first four
+    # exited 3. At n=64 all 17 samples are light, and summing the float
+    # frequencies booked 2.9999999999999996 < H/gamma = 3
+    assert run_cli(["baseline", "--gen", gen, "--gamma", gamma, "--check",
+                    "--out", str(tmp_path / "b.jsonl")]) == 0
+
+
+def test_cli_reads_input_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "rho.json"
+    path.write_text(DensityMatrix.random(8, np.random.default_rng(0)).to_json())
+    calls = []
+    load_input = cli_module.load_input
+
+    def counting(p):
+        calls.append(p)
+        return load_input(p)
+
+    monkeypatch.setattr(cli_module, "load_input", counting)
+    out = tmp_path / "o.jsonl"
+    assert run_cli(["estimate", "--input", str(path), "--gamma", "1.5", "--seeds", "3",
+                    "--out", str(out)]) == 0
+    assert calls == [str(path)]
+    assert [json.loads(line)["seed"] for line in out.read_text().splitlines()] == [0, 1, 2]
 
 
 def test_cli_config_file(tmp_path):

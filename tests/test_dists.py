@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,9 @@ import pytest
 from qentropy import (
     DensityMatrix,
     Distribution,
+    EstimatorParams,
     ValidationError,
+    estimate_entropy,
     gen_collision_pair,
     gen_lower_bound_pair,
     gen_near_deterministic_pair,
@@ -20,6 +23,7 @@ from qentropy import (
     von_neumann_entropy,
     weight,
 )
+from qentropy.dists import EIG_CLAMP
 
 
 def test_distribution_validation():
@@ -135,6 +139,56 @@ def test_random_density_matrix_basis_invariance():
     assert abs(s - shannon_entropy(rho.spectrum())) < 1e-10
     rho2 = DensityMatrix.from_json(rho.to_json())
     assert np.allclose(rho.mat, rho2.mat, atol=1e-15)
+
+
+def test_spectrum_reads_validation_eigenvalues_bit_for_bit():
+    for rho in (DensityMatrix.random(6, np.random.default_rng(1)),
+                DensityMatrix.random(64, np.random.default_rng(2)),
+                DensityMatrix.from_distribution(Distribution(np.array([0.7, 0.2, 0.1, 0.0]))),
+                DensityMatrix.maximally_mixed(8)):
+        ev = np.linalg.eigvalsh(rho.mat)
+        ev = np.where(ev < EIG_CLAMP, 0.0, ev)
+        assert np.array_equal(rho.spectrum().probs, ev / ev.sum())
+
+
+def test_no_eigendecomposition_after_construction(monkeypatch):
+    rho = DensityMatrix.random(16, np.random.default_rng(3))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kw):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rho.spectrum()
+    von_neumann_entropy(rho)
+    estimate_entropy(rho, EstimatorParams(n=16, gamma=2.0), mode="sampled", seed=0)
+    assert calls == []
+    DensityMatrix.maximally_mixed(4)
+    assert calls == [(4, 4)]
+
+
+def test_stored_eigenvalues_are_read_only_and_validated():
+    rho = DensityMatrix.random(6, np.random.default_rng(1))
+    with pytest.raises(ValueError):
+        rho.eigenvalues[0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.eigenvalues = np.zeros(6)
+    assert "eigenvalues" not in repr(rho)
+    # PSD is still checked: eigenvalues (1.5, -0.5)
+    with pytest.raises(ValidationError):
+        DensityMatrix(np.array([[0.5, 1.0], [1.0, 0.5]]))
+
+
+def test_replace_recomputes_eigenvalues():
+    rho = DensityMatrix.maximally_mixed(4)
+    pure = np.zeros((4, 4), dtype=complex)
+    pure[0, 0] = 1.0
+    rho2 = dataclasses.replace(rho, mat=pure)
+    assert np.array_equal(rho2.eigenvalues, np.linalg.eigvalsh(pure))
+    assert von_neumann_entropy(rho2) == 0.0
+    assert np.array_equal(rho.eigenvalues, np.full(4, 0.25))
 
 
 def test_near_deterministic_pair():
