@@ -75,6 +75,8 @@ def query_scaling_sweep(n_list, gamma: float, eps: float, quantum: bool = False,
     within `tolerance`.
     """
     ns = sorted(int(n) for n in n_list)
+    if exclude_smallest < 0:
+        raise ValidationError(f"exclude_smallest must be >= 0, got {exclude_smallest}")
     if len(ns) - exclude_smallest < 3:
         raise ValidationError("need at least 3 sizes after exclusion for the fit")
     rows = []
@@ -127,8 +129,10 @@ def classical_baseline(p: Distribution, gamma: float, eta: float = 0.0,
     mass is a ratio of integer counts, so an all-light sample books exactly
     log2(n)/gamma.
     """
-    if gamma <= 1.0:
-        raise ValidationError("gamma must exceed 1")
+    if not (math.isfinite(gamma) and gamma > 1.0):
+        raise ValidationError(f"gamma must be finite and exceed 1, got {gamma}")
+    if not math.isfinite(eta):
+        raise ValidationError(f"eta must be finite, got {eta}")
     n = p.n
     s = max(1, math.ceil(n ** ((1.0 + eta) / gamma**2) * math.log2(n)))
     rng = np.random.default_rng(seed)

@@ -31,14 +31,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CHECK_FAILED = 3
 
-MODE_MAP = {
-    "ideal": ("exact", "ideal_svd"),
-    "bound": ("bound_only", "ideal_svd"),
-    "sampled": ("sampled", "ideal_svd"),
-    "statevector": ("exact", "statevector_qpe"),
-}
-# additive and threshold take no sve_mode, so they run the ideal SVD only
-IDEAL_SVD_MODES = sorted(m for m, (_, sve) in MODE_MAP.items() if sve == "ideal_svd")
+MODE_MAP = {"ideal": "exact", "bound": "bound_only", "sampled": "sampled"}  # CLI name -> QAE mode
 
 GEN_KEYS = {  # generator name -> the spec keys it reads
     "uniform": {"n"},
@@ -88,6 +81,13 @@ def parse_gen(spec: str, seed: int = 0):
                 kw[k] = float(v) if "." in v or "e" in v.lower() else int(v)
             except ValueError:
                 raise ValidationError(f"generator key {k!r} needs a number, got {v!r}") from None
+            if k in ("n", "i", "seed"):
+                low = 1 if k == "n" else 0
+                if not (isinstance(kw[k], int) and kw[k] >= low):
+                    raise ValidationError(f"generator key {k!r} needs an integer >= {low}, "
+                                          f"got {v!r}")
+            elif not math.isfinite(kw[k]):
+                raise ValidationError(f"generator key {k!r} needs a finite number, got {v!r}")
     n = int(kw.get("n", 64))
     if name == "uniform":
         return Distribution.uniform(n)
@@ -149,6 +149,11 @@ def _exit_code(args, ok: bool) -> int:
 def _trials(args, trial) -> int:
     """Run trial(src, seed) -> (record, ok) at each seed and write the records."""
     first, count = (0, args.seeds) if args.trials is None else (args.seeds, args.trials)
+    if first < 0:
+        raise ValidationError(f"the base seed --seeds must be >= 0, got {first}")
+    if count < 1:
+        raise ValidationError(f"--{'seeds' if args.trials is None else 'trials'} "
+                              f"must be >= 1, got {count}")
     source = _source_at_seed(args)
     results = [trial(source(seed), seed) for seed in range(first, first + count)]
     _emit([rec for rec, _ in results], args.out)
@@ -156,18 +161,18 @@ def _trials(args, trial) -> int:
 
 
 def cmd_estimate(args) -> int:
-    mode, sve_mode = MODE_MAP[args.mode]
+    mode = MODE_MAP[args.mode]
 
     def trial(src, seed):
         params = EstimatorParams(n=src.n, gamma=args.gamma, eps=args.eps, eta=args.eta)
         rep = estimate_entropy(src, params, mode=mode, seed=seed,
-                               repetitions=args.repetitions, sve_mode=sve_mode)
+                               repetitions=args.repetitions)
         return rep.to_record(), rep.within_guarantee
     return _trials(args, trial)
 
 
 def cmd_additive(args) -> int:
-    mode, _ = MODE_MAP[args.mode]
+    mode = MODE_MAP[args.mode]
 
     def trial(src, seed):
         rep = estimate_additive(src, args.eps_add, mode=mode, seed=seed,
@@ -180,7 +185,7 @@ def cmd_additive(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    mode, _ = MODE_MAP[args.mode]
+    mode = MODE_MAP[args.mode]
 
     def trial(src, seed):
         rep = entropy_threshold_test(src, args.high, args.low, eps=args.eps,
@@ -243,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit 3 if a guarantee/check fails")
         return p
 
-    def trials(p, modes):
+    def trials(p, mode=True):
         p.add_argument("--input", help="JSON distribution or density matrix")
         p.add_argument("--gen", help="generator spec, e.g. dirichlet:n=64,seed=3")
         p.add_argument("--seeds", type=int, default=1,
@@ -252,21 +257,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run this many trials at seeds base..base+t-1")
         p.add_argument("--repetitions", type=int, default=1,
                        help="odd median-boosting count")
-        if modes:
-            p.add_argument("--mode", choices=modes, default="ideal")
+        if mode:
+            p.add_argument("--mode", choices=sorted(MODE_MAP), default="ideal")
 
     p = subcommand("estimate", "multiplicative entropy estimate", cmd_estimate)
-    trials(p, sorted(MODE_MAP))
+    trials(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--eta", type=float, default=None)
 
     p = subcommand("additive", "additive-error estimate", cmd_additive)
-    trials(p, IDEAL_SVD_MODES)
+    trials(p)
     p.add_argument("--eps-add", dest="eps_add", type=float, required=True)
 
     p = subcommand("threshold", "entropy threshold test", cmd_threshold)
-    trials(p, IDEAL_SVD_MODES)
+    trials(p)
     p.add_argument("--high", type=float, required=True)
     p.add_argument("--low", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.1)
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="eps for the first two kinds, gamma for collision")
 
     p = subcommand("baseline", "classical sampling baseline", cmd_baseline)
-    trials(p, None)
+    trials(p, mode=False)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--eta-sample", dest="eta_sample", type=float, default=0.0,
                    help="sampling exponent boost in s = n^((1+eta)/gamma^2) log2(n)")

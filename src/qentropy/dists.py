@@ -33,7 +33,7 @@ def _as_prob_vector(probs) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """A probability distribution over {0, ..., n-1}."""
 
@@ -51,10 +51,14 @@ class Distribution:
     # -- constructors -------------------------------------------------
     @staticmethod
     def uniform(n: int) -> "Distribution":
+        if n < 1:
+            raise ValidationError(f"a uniform distribution needs n >= 1, got n={n}")
         return Distribution(np.full(n, 1.0 / n))
 
     @staticmethod
     def point_mass(n: int, i: int = 0) -> "Distribution":
+        if not 0 <= i < n:
+            raise ValidationError(f"a point mass needs 0 <= i < n, got i={i} with n={n}")
         p = np.zeros(n)
         p[i] = 1.0
         return Distribution(p)
@@ -90,7 +94,7 @@ class Distribution:
         return Distribution.from_record(json.loads(s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A density matrix: Hermitian, PSD, unit trace.
 
@@ -100,7 +104,7 @@ class DensityMatrix:
     """
 
     mat: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
@@ -345,8 +349,8 @@ def gen_collision_pair(n: int, gamma: float, size_cap: int = 1 << 22) -> tuple[D
     The subset size is rounded to the nearest integer >= 2; the realized
     entropy ratio log2(N)/log2(M) (ideally gamma^2 + 1) is recorded.
     """
-    if n < 2 or gamma <= 1.0:
-        raise ValidationError("need n >= 2 and gamma > 1")
+    if n < 2 or not (math.isfinite(gamma) and gamma > 1.0):
+        raise ValidationError(f"need n >= 2 and a finite gamma > 1, got n={n}, gamma={gamma}")
     m = max(2, round(n ** (1.0 / gamma**2)))
     big = n * m
     if big > size_cap:

@@ -68,12 +68,13 @@ class EstimatorParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError("n must be >= 2")
-        if self.gamma <= 1.0:
-            raise ValidationError("gamma must exceed 1")
+        if not (math.isfinite(self.gamma) and self.gamma > 1.0):
+            raise ValidationError(f"gamma must be finite and exceed 1, got {self.gamma}")
         if self.eta is not None:
             object.__setattr__(self, "eps", self.eta / 8.0)
         if not (0.0 < self.eps < 1.0):
-            raise ValidationError("eps must be in (0, 1)")
+            raise ValidationError(f"eps must be in (0, 1), got {self.eps}"
+                                  + ("" if self.eta is None else f" from eta = {self.eta}"))
 
 
 @dataclass
@@ -176,11 +177,10 @@ class EstimationPlan:
     prep_cost: int                   # oracle uses of one SVE-based preparation
 
 
-def plan_estimate(enc: ProjectedUnitaryEncoding, derived: DerivedParams,
-                  sve_mode: str = "ideal_svd") -> EstimationPlan:
+def plan_estimate(enc: ProjectedUnitaryEncoding, derived: DerivedParams) -> EstimationPlan:
     """Estimate the singular values once and split them at sqrt(beta')."""
     # the SVE is charged by each stage of each repetition, not here
-    est = qsve(enc, derived.m_bits, mode=sve_mode)
+    est = qsve(enc, derived.m_bits)
     light = est < derived.sqrt_beta_prime
     heavy = est >= derived.sqrt_beta_prime
     heavy.setflags(write=False)
@@ -293,23 +293,20 @@ def check_guarantee(h_tilde: float, h_true: float, gamma: float, eps: float) -> 
 
 
 def estimate_entropy(source, params: EstimatorParams, mode: str = "exact",
-                     seed: int = 0, repetitions: int = 1,
-                     sve_mode: str = "ideal_svd") -> EstimateReport:
+                     seed: int = 0, repetitions: int = 1) -> EstimateReport:
     """Full estimator: light mass + heavy power sums, optionally median-boosted.
 
     `mode` is the amplitude-estimation noise model: exact (noise-free),
     bound_only (adversarial within each error bound), sampled (exact
     outcome distribution).  `repetitions` (odd) applies median boosting to
     the final estimate; the ledger accumulates over all repetitions.
-    `sve_mode` "statevector_qpe" runs phase estimation on each singular
-    value, so it takes at most 512 of them.
     """
     enc, h_true = _resolve_encoding(source)
-    return _estimate(enc, h_true, params, mode, seed, repetitions, sve_mode)
+    return _estimate(enc, h_true, params, mode, seed, repetitions)
 
 
 def _estimate(enc: ProjectedUnitaryEncoding, h_true: float, params: EstimatorParams,
-              mode: str, seed: int, repetitions: int, sve_mode: str = "ideal_svd",
+              mode: str, seed: int, repetitions: int,
               m_bits: int | None = None) -> EstimateReport:
     """Plan once, then draw each repetition from its own seed."""
     if repetitions < 1 or repetitions % 2 == 0:
@@ -318,7 +315,7 @@ def _estimate(enc: ProjectedUnitaryEncoding, h_true: float, params: EstimatorPar
         raise ValidationError(
             f"params.n = {params.n} does not match the source size {enc.sigma.size}")
     derived = derive_params(params, alpha=enc.alpha, m_bits=m_bits)
-    plan = plan_estimate(enc, derived, sve_mode)
+    plan = plan_estimate(enc, derived)
     ledger = QueryLedger()
     estimates, heavies, lights = [], [], []
     for k in range(repetitions):
@@ -351,10 +348,12 @@ def estimate_additive(source, eps_add: float, mode: str = "exact", seed: int = 0
     (bounded by 2*log2(n)/n) stays inside the additive budget; the heavy
     power sums then carry the whole estimate up to the gamma factor.
     """
-    if eps_add <= 0:
-        raise ValidationError("eps_add must be positive")
+    if not (math.isfinite(eps_add) and eps_add > 0):
+        raise ValidationError(f"eps_add must be positive and finite, got {eps_add}")
     enc, h_true = _resolve_encoding(source)
     n = enc.sigma.size
+    if n < 2:
+        raise ValidationError(f"n must be >= 2, got {n}")
     logn = math.log2(n)
     gamma = 1.0 + eps_add / logn
     params = EstimatorParams(n=n, gamma=gamma, eps=min(0.5, eps_add / (4.0 * logn)))

@@ -65,7 +65,6 @@ class TaylorPolynomial:
     delta: float
     normalization: float
     eps_cert: float
-    rescaled: bool = False
 
     def __call__(self, x):
         x = np.abs(np.asarray(x, dtype=float))
@@ -196,7 +195,6 @@ def _check_cde(c: float, delta: float, eps: float):
 class CertReport:
     sup_error: float        # max |poly - target| on [delta, 1]
     max_abs: float          # max |poly| on [-1, 1] after any rescale
-    grid_points: int
     rescaled: bool
     scale: float            # factor the polynomial was divided by (1.0 if none)
 
@@ -215,7 +213,7 @@ def certify(poly: TaylorPolynomial, grid_points: int = 20001) -> CertReport:
     Checks |poly - normalization * x^(sign*c)| on [delta, 1] and |poly| on
     [-1, 1] (via the even realization).  If the magnitude exceeds 1 the
     polynomial is rescaled in place by the measured maximum, the stored
-    normalization is updated, and the rescale is recorded.
+    normalization is updated, and the report records the rescale.
     """
     if grid_points < 1000:
         raise ValidationError("grid_points must be at least 1000")
@@ -225,19 +223,16 @@ def certify(poly: TaylorPolynomial, grid_points: int = 20001) -> CertReport:
     both = np.concatenate((full, dom))
     vals = poly(both)
     max_abs = float(np.abs(vals[:full.size]).max())
-    rescaled, scale = False, 1.0
+    scale = 1.0
     if max_abs > 1.0 + 1e-12:
         scale = max_abs
         poly.coeffs = poly.coeffs / scale
         poly.normalization /= scale
-        poly.rescaled = True
-        rescaled = True
         vals = poly(both)
         max_abs = float(np.abs(vals[:full.size]).max())
     sup_err = float(np.abs(vals[full.size:] - poly.target(dom)).max())
     poly.eps_cert = max(poly.eps_cert / scale, sup_err)
-    return CertReport(sup_error=sup_err, max_abs=max_abs, grid_points=grid_points,
-                      rescaled=rescaled, scale=scale)
+    return CertReport(sup_error=sup_err, max_abs=max_abs, rescaled=scale != 1.0, scale=scale)
 
 
 def degree_bound(c: float, delta: float, eps: float, constant: float = 20.0) -> int:

@@ -1,7 +1,7 @@
 """Simulated quantum subroutines with query accounting.
 
-Singular value estimation (ideal grid-rounding semantics plus a small-scale
-statevector phase-estimation cross-check), singular value transformation
+Singular value estimation (the most likely outcome of phase estimation: the
+exact value rounded to the 2^-m grid), singular value transformation
 (matrix-function semantics), and amplitude estimation (exact value, adversarial
 within-bound perturbation, or one exact draw from the phase-estimation outcome
 distribution, made by rejection in O(1) time rather than by building all M
@@ -22,7 +22,6 @@ from .logapprox import TaylorPolynomial
 
 # Cost-model constants (documented, not tunable per instance).
 SVE_ROUNDS_FACTOR = 2          # an m-bit SVE runs ceil(alpha * 2^(m+1)) rounds
-STATEVECTOR_SV_CAP = 512       # max singular values of one statevector SVE
 ANCILLAS = 2                   # ancilla qubits of every projected unitary encoding
 
 
@@ -78,31 +77,20 @@ def round_to_grid(values: np.ndarray, m_bits: int) -> np.ndarray:
     return np.clip(idx * step, 0.0, 1.0)
 
 
-def qsve(enc: ProjectedUnitaryEncoding, m_bits: int, mode: str = "ideal_svd") -> np.ndarray:
+def qsve(enc: ProjectedUnitaryEncoding, m_bits: int) -> np.ndarray:
     """Estimate the unnormalized singular values alpha*sigma to m bits.
 
-    Returns the estimates in the order of `enc.sigma`.  ideal_svd: exact
-    values rounded to the 2^-m grid (ties toward zero), so every estimate is
-    within 2^-(m+1) of the truth.  statevector_qpe: runs 2^(m+1)-point phase
-    estimation on each eigenphase sigma/2 and keeps the most likely outcome.
-    Charges nothing: each stage that uses an SVE charges its own ledger.
+    Returns the estimates in the order of `enc.sigma`: the exact values
+    rounded to the 2^-m grid (ties toward zero), so every estimate is within
+    2^-(m+1) of the truth.  That is the most likely outcome of 2^(m+1)-point
+    phase estimation on the eigenphase alpha*sigma/2, which the tests check
+    against `_phase_estimation`; the ledger charges ceil(alpha * 2^(m+1))
+    rounds, enough to resolve alpha*sigma to that grid's spacing.  Charges
+    nothing: each stage that uses an SVE charges its own ledger.
     """
     if m_bits < 1:
         raise ValidationError("m_bits must be >= 1")
-    if mode == "ideal_svd":
-        return round_to_grid(enc.true_values(), m_bits)
-    if mode != "statevector_qpe":
-        raise ValidationError(f"unknown qsve mode {mode!r}")
-    if enc.sigma.size > STATEVECTOR_SV_CAP:
-        raise ValidationError(f"statevector qsve takes at most {STATEVECTOR_SV_CAP} "
-                              f"singular values, got {enc.sigma.size}")
-    # the eigenphases of exp(pi i H), H = [[0, P], [P^dag, 0]], are +/- sigma/2,
-    # so sigma in [0,1] maps to [0, 1/2] with no wraparound at sigma = 1; one
-    # extra phase bit keeps the effective grid on sigma at spacing 2^-m
-    big = 2 ** (m_bits + 1)
-    est = np.array([np.argmax(_phase_estimation(0.5 * float(s), big)[1]) for s in enc.sigma],
-                   dtype=float)
-    return np.clip(enc.alpha * (2.0 * est / big), 0.0, 1.0)
+    return round_to_grid(enc.true_values(), m_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from qentropy import (
     von_neumann_entropy,
 )
 from qentropy.logapprox import certify, degree_bound, taylor_poly_neg, taylor_poly_pos
+from qentropy.qsub import _phase_estimation
 
 
 def report(num, ok, desc):
@@ -145,19 +146,22 @@ def test_criterion_06_qsve_contract():
         p = Distribution.dirichlet(n, rng)
         enc = projected_encoding_classical(build_purified_oracle_classical(p))
         for m in (1, 3, 5):
-            est = qsve(enc, m, mode="ideal_svd")
+            est = qsve(enc, m)
             err = np.abs(np.sort(est) - np.sort(enc.true_values()))
             ok = ok and np.max(err) <= 2.0 ** (-(m + 1)) + 1e-15
-    # exactly-representable spectra: every sqrt(p_i) on the 2^-m grid
+    # exactly-representable spectra: every sqrt(p_i) on the 2^-m grid; at
+    # alpha = 1 the estimate is the most likely outcome of 2^(m+1)-point phase
+    # estimation on the eigenphase sigma/2
     for probs in ([0.25] * 4, [1.0, 0.0], [1.0, 0.0, 0.0, 0.0]):
         enc = projected_encoding_classical(
             build_purified_oracle_classical(Distribution(np.array(probs))))
         for m in (1, 2, 3):
-            ideal = qsve(enc, m, mode="ideal_svd")
-            sv = qsve(enc, m, mode="statevector_qpe")
-            ok = ok and np.allclose(np.sort(ideal), np.sort(sv), atol=1e-12)
-    report(6, ok, "singular value estimates land within half a grid step; "
-                  "statevector mode matches ideal on representable spectra")
+            big = 2 ** (m + 1)
+            likeliest = [2.0 * np.argmax(_phase_estimation(0.5 * s, big)[1]) / big
+                         for s in enc.sigma]
+            ok = ok and np.array_equal(qsve(enc, m), likeliest)
+    report(6, ok, "singular value estimates land within half a grid step and are "
+                  "the most likely phase-estimation outcome on representable spectra")
 
 
 def test_criterion_07_qae_coverage():

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qentropy import (
     DensityMatrix,
@@ -103,6 +105,48 @@ def run_cli(args):
     return main(args)
 
 
+# numbers that sit outside most parameters' ranges, drawn next to valid ones
+EDGE_NUMBERS = [0.0, -1.0, -0.5, 0.5, 1.0, 2.5, math.nan, math.inf, -math.inf]
+SPEC_VALUES = st.one_of(st.integers(-5, 128), st.floats().map(repr),
+                        st.sampled_from(["", "abc", "2.5", "-0", "1e999", "-1e999"]))
+
+
+def _number(lo, hi):
+    return st.one_of(st.floats(lo, hi), st.sampled_from(EDGE_NUMBERS)).map(repr)
+
+
+@st.composite
+def gen_specs(draw):
+    """'name:key=val,...' with any generator (or none), keys and values."""
+    name = draw(st.sampled_from(sorted(cli_module.GEN_KEYS) + ["nosuch"]))
+    keys = sorted(cli_module.GEN_KEYS.get(name, {"n"}))
+    picked = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
+    return name + "".join((":" if k == 0 else ",") + f"{key}={draw(SPEC_VALUES)}"
+                          for k, key in enumerate(picked))
+
+
+@example(spec="uniform:n=1", task="additive", gamma="2.0", eps="0.1", eps_add="0.5",
+         seeds=1, trials=None, mode="ideal")  # eps_add / log2(1) raised ZeroDivisionError
+@settings(max_examples=50, deadline=None)
+@given(spec=gen_specs(), task=st.sampled_from(["estimate", "additive"]),
+       gamma=_number(1.01, 6.0), eps=_number(0.01, 0.99), eps_add=_number(0.25, 4.0),
+       seeds=st.integers(-2, 2), trials=st.one_of(st.none(), st.integers(-1, 2)),
+       mode=st.sampled_from(["ideal", "bound", "sampled"]))
+def test_cli_input_errors_exit_2(spec, task, gamma, eps, eps_add, seeds, trials, mode):
+    # every run either succeeds or rejects its input with exit code 2; any other
+    # exception is a traceback the boundary checks let through
+    argv = [task, "--gen", spec, "--mode", mode, f"--seeds={seeds}", "--out", os.devnull]
+    # --name=value, since argparse reads a lone "-inf" as an unknown flag
+    argv += ([f"--gamma={gamma}", f"--eps={eps}"] if task == "estimate"
+             else [f"--eps-add={eps_add}"])
+    if trials is not None:
+        argv += [f"--trials={trials}"]
+    try:
+        assert run_cli(argv) in (0, 2)
+    except SystemExit as exc:
+        assert exc.code == 2
+
+
 def test_cli_estimate_jsonl(tmp_path, capsys):
     out = tmp_path / "trials.jsonl"
     code = run_cli(["estimate", "--gen", "uniform:n=64", "--gamma", "2.0",
@@ -113,14 +157,6 @@ def test_cli_estimate_jsonl(tmp_path, capsys):
     rec = json.loads(lines[0])
     assert rec["n"] == 64
     assert list(rec.keys()) == sorted(rec.keys())
-    # statevector mode runs phase estimation on each singular value
-    assert run_cli(["estimate", "--gen", "dirichlet:n=8,seed=7", "--gamma", "1.5",
-                    "--mode", "statevector", "--out", str(out)]) == 0
-    want = estimate_entropy(random_distribution(8, 7), EstimatorParams(n=8, gamma=1.5),
-                            seed=0, sve_mode="statevector_qpe")
-    assert json.loads(out.read_text())["h_tilde"] == want.h_tilde
-    assert run_cli(["estimate", "--gen", "dirichlet:n=64", "--gamma", "1.5",
-                    "--mode", "statevector", "--out", str(out)]) == 0
 
 
 def test_cli_estimate_check_pass_and_fail(tmp_path):
@@ -142,15 +178,34 @@ def test_cli_invalid_args_exit_2(tmp_path, capsys):
                         "--gamma", "2.0"]) == 2
     assert run_cli(["sweep", "--n-list", "64,abc", "--gamma", "2.0"]) == 2
     assert "'bogus'" in capsys.readouterr().err
-    assert run_cli(["estimate", "--gen", "dirichlet:n=513", "--gamma", "1.5",
-                    "--mode", "statevector", "--out", str(tmp_path / "z.jsonl")]) == 2
-    assert "at most 512 singular values" in capsys.readouterr().err
-    # statevector SVE is offered only where it is used
-    for task, flags in (("additive", ["--eps-add", "0.5"]),
+    # there is one SVE model, so no command offers a statevector mode
+    for task, flags in (("estimate", ["--gamma", "1.5"]),
+                        ("additive", ["--eps-add", "0.5"]),
                         ("threshold", ["--high", "6", "--low", "3"])):
         with pytest.raises(SystemExit) as excinfo:
             run_cli([task, "--gen", "uniform:n=64", *flags, "--mode", "statevector"])
         assert excinfo.value.code == 2
+    # bad numbers are rejected at the boundary by the name of the parameter
+    for argv, name in (
+            (["estimate", "--gen", "uniform:n=0", "--gamma", "2"], "'n'"),
+            (["estimate", "--gen", "uniform:n=-3", "--gamma", "2"], "'n'"),
+            (["estimate", "--gen", "point:n=4,i=9", "--gamma", "2"], "i=9"),
+            (["estimate", "--gen", "point:n=4,i=-1", "--gamma", "2"], "'i'"),
+            (["estimate", "--gen", "dirichlet:n=64,seed=-1", "--gamma", "2"], "'seed'"),
+            (["estimate", "--gen", "uniform:n=64", "--gamma", "2", "--seeds", "-1",
+              "--trials", "2"], "--seeds"),
+            (["estimate", "--gen", "uniform:n=64", "--gamma", "2", "--seeds", "-1"], "--seeds"),
+            (["estimate", "--gen", "uniform:n=64", "--gamma", "nan"], "gamma"),
+            (["estimate", "--gen", "uniform:n=64", "--gamma", "inf"], "gamma"),
+            (["baseline", "--gen", "uniform:n=64", "--gamma", "nan"], "gamma"),
+            (["baseline", "--gen", "uniform:n=64", "--gamma", "2", "--eta-sample", "nan"],
+             "eta"),
+            (["lowerbound", "--kind", "collision", "--n", "64", "--param", "nan"], "gamma"),
+            (["additive", "--gen", "uniform:n=64", "--eps-add", "nan"], "eps_add"),
+            (["sweep", "--n-list", "64,128,256", "--gamma", "2", "--exclude-smallest", "-2"],
+             "exclude_smallest")):
+        assert run_cli([*argv, "--out", str(tmp_path / "w.out")]) == 2, argv
+        assert name in capsys.readouterr().err, argv
 
 
 def test_cli_input_file_round_trip(tmp_path):

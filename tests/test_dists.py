@@ -191,6 +191,28 @@ def test_replace_recomputes_eigenvalues():
     assert np.array_equal(rho.eigenvalues, np.full(4, 0.25))
 
 
+def test_equality_is_identity_and_instances_hash():
+    # the generated __eq__ compared the arrays as a tuple: == raised ValueError
+    # and hash() raised TypeError
+    for make in (lambda: Distribution.uniform(4), lambda: DensityMatrix.maximally_mixed(2)):
+        x, y = make(), make()
+        assert (x == y) is False
+        assert (x == x) is True
+        assert len({x, y, x}) == 2
+
+
+def test_constructors_name_bad_sizes_and_labels():
+    for n in (0, -3):
+        with pytest.raises(ValidationError, match="n >= 1"):
+            Distribution.uniform(n)
+    for i in (4, 9, -1):
+        with pytest.raises(ValidationError, match="0 <= i < n"):
+            Distribution.point_mass(4, i)
+    for gamma in (math.nan, math.inf, 1.0):
+        with pytest.raises(ValidationError, match="gamma"):
+            gen_collision_pair(64, gamma)
+
+
 def test_near_deterministic_pair():
     for eps in (0.05, 0.1, 0.2):
         p, q, rep = gen_near_deterministic_pair(64, eps)

@@ -5,6 +5,7 @@ import pytest
 
 from qentropy import (
     Distribution,
+    ProjectedUnitaryEncoding,
     QueryLedger,
     ValidationError,
     boost_median,
@@ -40,7 +41,7 @@ def test_qsve_ideal_contract():
         p = Distribution.dirichlet(n, rng)
         enc = make_enc(p.probs)
         for m in (2, 4, 6):
-            est = qsve(enc, m, mode="ideal_svd")
+            est = qsve(enc, m)
             err = np.abs(np.sort(est) - np.sort(enc.true_values()))
             assert np.max(err) <= 2.0 ** (-(m + 1)) + 1e-15
             led = QueryLedger()
@@ -49,13 +50,18 @@ def test_qsve_ideal_contract():
             assert led.uses_U >= 1
 
 
-def test_qsve_statevector_matches_ideal_on_representable_spectra():
-    # uniform on 4 outcomes: sqrt(p) = 0.5, exactly on every grid with m >= 1
-    enc = make_enc([0.25] * 4)
-    for m in (1, 2, 3):
-        ideal = qsve(enc, m, mode="ideal_svd")
-        sv = qsve(enc, m, mode="statevector_qpe")
-        assert np.allclose(np.sort(ideal), np.sort(sv), atol=1e-12)
+def test_phase_estimation_mode_is_ideal_rounding():
+    # at alpha = 1 an m-bit SVE is 2^(m+1)-point phase estimation on the
+    # eigenphase sigma/2; its most likely outcome, ties to the lower one, is
+    # sigma rounded to the 2^-m grid, ties toward zero
+    rng = np.random.default_rng(12)
+    for m in range(1, 8):
+        big, step = 2 ** (m + 1), 2.0 ** -m
+        on_grid = np.arange(2 ** m + 1) * step
+        half_way = (np.arange(2 ** m) + 0.5) * step
+        sigma = np.concatenate((rng.random(300), on_grid, half_way))
+        likeliest = [2.0 * np.argmax(_phase_estimation(0.5 * s, big)[1]) / big for s in sigma]
+        np.testing.assert_array_equal(qsve(ProjectedUnitaryEncoding(sigma, 1.0), m), likeliest)
 
 
 def test_qsve_ledger_charging():
