@@ -27,6 +27,7 @@ from .estimator import (
 )
 
 FIT_EXCLUDE_SMALLEST = 2    # default number of smallest n excluded from fits
+MAX_BASELINE_SAMPLES = 2**26  # about 1 GiB of int64 draws
 
 
 @dataclass(frozen=True)
@@ -127,14 +128,20 @@ def classical_baseline(p: Distribution, gamma: float, eta: float = 0.0,
     needed.  Without the log factor s is about 1/beta, so every sampled label
     is heavy and h_hat falls below H/gamma on high-entropy inputs.  The light
     mass is a ratio of integer counts, so an all-light sample books exactly
-    log2(n)/gamma.
+    log2(n)/gamma.  More than MAX_BASELINE_SAMPLES samples raise ValidationError.
     """
     if not (math.isfinite(gamma) and gamma > 1.0):
         raise ValidationError(f"gamma must be finite and exceed 1, got {gamma}")
     if not math.isfinite(eta):
         raise ValidationError(f"eta must be finite, got {eta}")
     n = p.n
-    s = max(1, math.ceil(n ** ((1.0 + eta) / gamma**2) * math.log2(n)))
+    e = (1.0 + eta) / gamma**2
+    # s >= n^e for n >= 2, so an exponent past the cap is rejected before n^e can overflow
+    log_cap = math.log2(MAX_BASELINE_SAMPLES)
+    s = max(1, math.ceil(n ** e * math.log2(n))) if e * math.log2(n) <= log_cap else math.inf
+    if s > MAX_BASELINE_SAMPLES:
+        raise ValidationError(f"eta = {eta} and gamma = {gamma} ask for more than "
+                              f"{MAX_BASELINE_SAMPLES} samples at n = {n}")
     rng = np.random.default_rng(seed)
     counts = np.bincount(rng.choice(n, size=s, p=p.probs), minlength=n)
     q = counts / s

@@ -139,7 +139,8 @@ def _write(text: str, out_path):
 
 
 def _emit(records, out_path):
-    _write("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n", out_path)
+    _write("\n".join(json.dumps(r, sort_keys=True, allow_nan=False) for r in records) + "\n",
+           out_path)
 
 
 def _exit_code(args, ok: bool) -> int:
@@ -263,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subcommand("estimate", "multiplicative entropy estimate", cmd_estimate)
     trials(p)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--eps", type=float, default=None, help="guarantee slack (default 0.1)")
+    p.add_argument("--eta", type=float, default=None, help="promise slack; sets eps = eta/8")
 
     p = subcommand("additive", "additive-error estimate", cmd_additive)
     trials(p)

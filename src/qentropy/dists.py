@@ -65,7 +65,12 @@ class Distribution:
 
     @staticmethod
     def zipf(n: int, s: float = 1.0) -> "Distribution":
-        w = 1.0 / np.arange(1, n + 1, dtype=float) ** s
+        k = np.arange(1, n + 1, dtype=float)
+        if s < 0:  # k^-s up to scale, without overflow
+            w = (k / n) ** -s
+        else:
+            with np.errstate(over="ignore"):  # k^s = inf gives the right weight 0
+                w = 1.0 / k ** s
         return Distribution(w / w.sum())
 
     @staticmethod
@@ -284,7 +289,7 @@ class SeparationReport:
     param: float
     entropy_p: float
     entropy_q: float
-    entropy_ratio: float
+    entropy_ratio: float | None  # H(p)/H(q); None when H(q) = 0
     hellinger: float
     extras: dict
 
@@ -307,7 +312,7 @@ def gen_near_deterministic_pair(n: int, eps: float) -> tuple[Distribution, Distr
         param=eps,
         entropy_p=shannon_entropy(dp),
         entropy_q=0.0,
-        entropy_ratio=math.inf,
+        entropy_ratio=None,
         hellinger=hellinger(dp, dq),
         extras={"hellinger_lower": math.sqrt(eps / 2.0), "hellinger_upper": math.sqrt(eps)},
     )

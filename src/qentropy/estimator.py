@@ -56,13 +56,13 @@ class EstimatorParams:
     """Target instance size and accuracy.
 
     gamma > 1 is the multiplicative target; eps in (0, 1) the slack in the
-    (1+2*eps)*gamma guarantee.  If `eta` is given, eps is set to eta/8 (the
-    promise-slack interface).
+    (1+2*eps)*gamma guarantee, 0.1 if not given.  Giving `eta` instead sets
+    eps = eta/8 (the promise-slack interface); giving both is an error.
     """
 
     n: int
     gamma: float
-    eps: float = 0.1
+    eps: float | None = None
     eta: float | None = None
 
     def __post_init__(self):
@@ -70,14 +70,17 @@ class EstimatorParams:
             raise ValidationError("n must be >= 2")
         if not (math.isfinite(self.gamma) and self.gamma > 1.0):
             raise ValidationError(f"gamma must be finite and exceed 1, got {self.gamma}")
-        if self.eta is not None:
-            object.__setattr__(self, "eps", self.eta / 8.0)
+        if self.eps is not None and self.eta is not None:
+            raise ValidationError(f"give eps or eta, not both: eps = {self.eps}, "
+                                  f"eta = {self.eta}")
+        if self.eps is None:
+            object.__setattr__(self, "eps", 0.1 if self.eta is None else self.eta / 8.0)
         if not (0.0 < self.eps < 1.0):
             raise ValidationError(f"eps must be in (0, 1), got {self.eps}"
                                   + ("" if self.eta is None else f" from eta = {self.eta}"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DerivedParams:
     m_bits: int
     sqrt_beta_prime: float
@@ -104,8 +107,9 @@ def derive_params(params: EstimatorParams, alpha: float = 1.0,
     beta' = n^(-1/gamma'^2) for the rounded gamma' = sqrt(log2(n)/(2m)) <= gamma.
     If the rounding degenerates to gamma' = 1 the power exponent falls back
     to the requested gamma (still a valid one-sided factor) and the light
-    term uses the exact divisor 1.  Raises ValidationError if a certified
-    polynomial error exceeds its budget eps2.
+    term uses the exact divisor 1.  Raises ValidationError if `certify`
+    measures a polynomial above the QSVT bound 1, or if the larger of its
+    tail bound eps_cert and measured error exceeds its budget eps2.
     """
     n, gamma, eps = params.n, params.gamma, params.eps
     logn = math.log2(n)
@@ -132,12 +136,14 @@ def derive_params(params: EstimatorParams, alpha: float = 1.0,
     poly_pos = taylor_poly_pos(a, delta, eps2)
     poly_neg = taylor_poly_neg(a, delta, eps2)
     for poly in (poly_pos, poly_neg):
-        certify(poly, CERT_GRID_POINTS)
-        if poly.eps_cert > eps2:
-            raise ValidationError(
-                f"the degree-{poly.degree} polynomial for x^{poly.sign * a:.4g} is "
-                f"certified to {poly.eps_cert:.3g}, {poly.eps_cert / eps2:.4g}x its "
-                f"budget eps2 = {eps2:.3g}")
+        rep = certify(poly, CERT_GRID_POINTS)
+        name = f"the degree-{poly.degree} polynomial for x^{poly.sign * a:.4g}"
+        if rep.max_abs > 1.0 + 1e-12:
+            raise ValidationError(f"{name} reaches {rep.max_abs:.6g}, above the QSVT bound 1")
+        err = max(poly.eps_cert, rep.sup_error)
+        if err > eps2:
+            raise ValidationError(f"{name} is certified to {err:.3g}, "
+                                  f"{err / eps2:.4g}x its budget eps2 = {eps2:.3g}")
     return DerivedParams(
         m_bits=m_bits, sqrt_beta_prime=sqrt_beta, beta_prime=beta_prime,
         gamma_prime=gamma_prime, gamma_heavy=gamma_heavy, a=a, delta=delta,

@@ -5,7 +5,8 @@ log2(1/x) from above on [beta, 1] when a = ln(gamma) / ln(1/beta), with a
 one-sided multiplicative overshoot of at most gamma at x = beta.  The two
 power functions are realized as truncated binomial (Taylor) series around
 x = 1, stored in the shifted basis (powers of x - 1) and evaluated at |x|,
-so they act as even functions of the singular value.
+so they act as even functions of the singular value.  The builder scales
+each series to the QSVT bound |poly| <= 1 on [-1, 1]; `certify` only measures.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ def f_power_log(x, a: float):
 # Taylor polynomials for x^c and x^-c
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TaylorPolynomial:
     """Truncated binomial series for normalization * x^(sign*c), shifted basis.
 
@@ -59,12 +60,18 @@ class TaylorPolynomial:
     """
 
     coeffs: np.ndarray
-    degree: int
     c: float
     sign: int  # +1 approximates x^c, -1 approximates x^-c
     delta: float
     normalization: float
     eps_cert: float
+
+    def __post_init__(self):
+        self.coeffs.setflags(write=False)
+
+    @property
+    def degree(self) -> int:
+        return self.coeffs.size - 1
 
     def __call__(self, x):
         x = np.abs(np.asarray(x, dtype=float))
@@ -74,10 +81,10 @@ class TaylorPolynomial:
         # Paterson-Stockmeyer blocking: sum_k c_k y^k = sum_j z^j B_j(y) with
         # z = y^b and B_j the degree-(b-1) block j, so one GEMM forms every
         # block sum and Horner runs over K ~ sqrt(degree) blocks, not degree terms
-        b = max(1, math.isqrt(self.degree + 1))
-        n_blocks = -(-(self.degree + 1) // b)
+        b = max(1, math.isqrt(self.coeffs.size))
+        n_blocks = -(-self.coeffs.size // b)
         blocks = np.zeros(n_blocks * b)
-        blocks[:self.degree + 1] = self.coeffs[:self.degree + 1]
+        blocks[:self.coeffs.size] = self.coeffs
         blocks = blocks.reshape(n_blocks, b)        # row j: coefficients of block j
         rows = min(y.size, max(1, EVAL_CHUNK // b))
         # buffers reused by every chunk: fresh ones per chunk cost more than the work
@@ -120,20 +127,17 @@ def taylor_poly_pos(c: float, delta: float, eps: float) -> TaylorPolynomial:
     """
     _check_cde(c, delta, eps)
     if c == 1.0:  # series terminates: x/2 exactly
-        return TaylorPolynomial(
-            coeffs=np.array([0.5, 0.5]), degree=1, c=c, sign=+1, delta=delta,
-            normalization=0.5, eps_cert=0.0,
-        )
+        return TaylorPolynomial(coeffs=np.array([0.5, 0.5]), c=c, sign=+1, delta=delta,
+                                normalization=0.5, eps_cert=0.0)
     return _binomial_series(c, +1, delta, eps, 0.5)
 
 
 def taylor_poly_neg(c: float, delta: float, eps: float) -> TaylorPolynomial:
-    """Polynomial approximation of (delta^c / 2) * x^-c on [delta, 1].
+    """Polynomial approximation of (delta^c / 2) * x^-c on [delta, 1], scaled to |poly| <= 1.
 
     The binomial series of (1+y)^-c with the normalization delta^c / 2,
-    built by `_binomial_series`; the shrunken wiggle radius
-    delta' = delta / (2 max(1, c)) certifies the magnitude bound 1 down to
-    x = delta - delta'.
+    built by `_binomial_series`.  Its terms are non-negative at y = |x| - 1,
+    so max |poly| on [-1, 1] is the coefficient sum, the builder's scale.
     """
     _check_cde(c, delta, eps)
     return _binomial_series(c, -1, delta, eps, 0.5 * delta**c)
@@ -146,7 +150,8 @@ def _binomial_series(c: float, sign: int, delta: float, eps: float,
     The tail is bounded by a geometric majorant at ratio r = 1 - delta: for
     sign +1 the terms decrease in magnitude, and for sign -1 the summand
     ratios r*(c+j)/(j+1) increase toward r.  At delta = 1 the tail is 0 and
-    the series stops at degree 0.
+    the series stops at degree 0.  Dividing by s = max(1, sum |coeffs|) bounds
+    |poly| by 1 on [-1, 1], where |y| <= 1; for sign +1 the sum is below 1.
     """
     s = sign * c
     r = 1.0 - delta
@@ -172,9 +177,12 @@ def _binomial_series(c: float, sign: int, delta: float, eps: float,
         k += size
         last = float(terms[-1])
         size = min(2 * size, SERIES_CHUNK)
+    coeffs = norm * np.concatenate(chunks)
+    scale = max(1.0, float(np.abs(coeffs).sum()))
+    coeffs /= scale
     return TaylorPolynomial(
-        coeffs=norm * np.concatenate(chunks), degree=k, c=c, sign=sign, delta=delta,
-        normalization=norm, eps_cert=norm * abs(b_next) * r ** (k + 1) / delta,
+        coeffs=coeffs, c=c, sign=sign, delta=delta, normalization=norm / scale,
+        eps_cert=norm * abs(b_next) * r ** (k + 1) / delta / scale,
     )
 
 
@@ -194,9 +202,7 @@ def _check_cde(c: float, delta: float, eps: float):
 @dataclass(frozen=True)
 class CertReport:
     sup_error: float        # max |poly - target| on [delta, 1]
-    max_abs: float          # max |poly| on [-1, 1] after any rescale
-    rescaled: bool
-    scale: float            # factor the polynomial was divided by (1.0 if none)
+    max_abs: float          # max |poly| on [-1, 1]
 
 
 def _cert_grid(lo: float, hi: float, m: int) -> np.ndarray:
@@ -208,31 +214,20 @@ def _cert_grid(lo: float, hi: float, m: int) -> np.ndarray:
 
 
 def certify(poly: TaylorPolynomial, grid_points: int = 20001) -> CertReport:
-    """Dense-grid certification of approximation error and magnitude bound.
+    """Dense-grid measurement of approximation error and magnitude.
 
-    Checks |poly - normalization * x^(sign*c)| on [delta, 1] and |poly| on
-    [-1, 1] (via the even realization).  If the magnitude exceeds 1 the
-    polynomial is rescaled in place by the measured maximum, the stored
-    normalization is updated, and the report records the rescale.
+    Measures |poly - normalization * x^(sign*c)| on [delta, 1] and |poly| on
+    [-1, 1] (via the even realization) in one evaluation pass over both
+    grids.  The polynomial is only read; judging the report against an
+    error budget and the bound 1 is the caller's job (see `derive_params`).
     """
     if grid_points < 1000:
         raise ValidationError("grid_points must be at least 1000")
     full = _cert_grid(-1.0, 1.0, grid_points)
     dom = _cert_grid(poly.delta, 1.0, grid_points)
-    # one evaluation pass over both grids
-    both = np.concatenate((full, dom))
-    vals = poly(both)
-    max_abs = float(np.abs(vals[:full.size]).max())
-    scale = 1.0
-    if max_abs > 1.0 + 1e-12:
-        scale = max_abs
-        poly.coeffs = poly.coeffs / scale
-        poly.normalization /= scale
-        vals = poly(both)
-        max_abs = float(np.abs(vals[:full.size]).max())
-    sup_err = float(np.abs(vals[full.size:] - poly.target(dom)).max())
-    poly.eps_cert = max(poly.eps_cert / scale, sup_err)
-    return CertReport(sup_error=sup_err, max_abs=max_abs, rescaled=scale != 1.0, scale=scale)
+    vals = poly(np.concatenate((full, dom)))
+    return CertReport(sup_error=float(np.abs(vals[full.size:] - poly.target(dom)).max()),
+                      max_abs=float(np.abs(vals[:full.size]).max()))
 
 
 def degree_bound(c: float, delta: float, eps: float, constant: float = 20.0) -> int:

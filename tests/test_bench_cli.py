@@ -147,6 +147,10 @@ def test_cli_input_errors_exit_2(spec, task, gamma, eps, eps_add, seeds, trials,
         assert exc.code == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_cli_estimate_jsonl(tmp_path, capsys):
     out = tmp_path / "trials.jsonl"
     code = run_cli(["estimate", "--gen", "uniform:n=64", "--gamma", "2.0",
@@ -157,6 +161,19 @@ def test_cli_estimate_jsonl(tmp_path, capsys):
     rec = json.loads(lines[0])
     assert rec["n"] == 64
     assert list(rec.keys()) == sorted(rec.keys())
+    # every JSONL subcommand writes strict JSON: the near-deterministic pair has
+    # H(q) = 0, and its entropy ratio was once written as Infinity
+    for argv in (["estimate", "--gen", "uniform:n=64", "--gamma", "2.0", "--eta", "0.4"],
+                 ["additive", "--gen", "uniform:n=64", "--eps-add", "0.5"],
+                 ["threshold", "--gen", "uniform:n=256", "--high", "6", "--low", "3"],
+                 ["baseline", "--gen", "zipf:n=128", "--gamma", "2.0"],
+                 *(["lowerbound", "--kind", kind, "--n", "64", "--param", param]
+                   for kind, param in (("collision", "1.5"), ("two_point_vs_spread", "0.1"),
+                                       ("near_deterministic", "0.1")))):
+        assert run_cli([*argv, "--out", str(out)]) == 0, argv
+        for line in out.read_text().splitlines():
+            json.loads(line, parse_constant=_reject_constant)
+    assert json.loads(out.read_text())["entropy_ratio"] is None
 
 
 def test_cli_estimate_check_pass_and_fail(tmp_path):
@@ -200,6 +217,14 @@ def test_cli_invalid_args_exit_2(tmp_path, capsys):
             (["baseline", "--gen", "uniform:n=64", "--gamma", "nan"], "gamma"),
             (["baseline", "--gen", "uniform:n=64", "--gamma", "2", "--eta-sample", "nan"],
              "eta"),
+            # s = n^((1+eta)/gamma^2) log2(n) overflowed a float at eta = 1000 and
+            # asked for about 2e10 samples at eta = 20; more than 2^26 is refused
+            (["baseline", "--gen", "uniform:n=64", "--gamma", "2", "--eta-sample", "1000"],
+             "eta = 1000.0 and gamma = 2.0"),
+            (["baseline", "--gen", "uniform:n=64", "--gamma", "2", "--eta-sample", "20"],
+             "eta = 20.0 and gamma = 2.0"),
+            (["estimate", "--gen", "uniform:n=256", "--gamma", "2", "--eps", "0.3",
+              "--eta", "0.8"], "eps = 0.3, eta = 0.8"),
             (["lowerbound", "--kind", "collision", "--n", "64", "--param", "nan"], "gamma"),
             (["additive", "--gen", "uniform:n=64", "--eps-add", "nan"], "eps_add"),
             (["sweep", "--n-list", "64,128,256", "--gamma", "2", "--exclude-smallest", "-2"],

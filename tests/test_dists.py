@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,20 @@ def test_zipf_entropy_frozen():
     h = -sum(q * math.log2(q) for q in z.probs)
     assert abs(shannon_entropy(z) - h) < 1e-14
     assert abs(shannon_entropy(z) - 2.6197148131073638) < 1e-12
+
+
+def test_zipf_extreme_exponents_do_not_overflow():
+    # at k >= 11, k^300 overflows and so does 1/k^-300; both once gave
+    # RuntimeWarnings and then "probabilities must be finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        falling, rising = Distribution.zipf(128, 300.0), Distribution.zipf(128, -300.0)
+    assert falling.probs[0] == 1.0 and falling.probs[-1] == 0.0
+    assert rising.probs[-1] == max(rising.probs) and rising.probs[0] == 0.0
+    k = np.arange(1, 129, dtype=float)
+    np.testing.assert_allclose(Distribution.zipf(128, -1.5).probs, k**1.5 / (k**1.5).sum(),
+                               rtol=1e-13)
+    assert np.array_equal(Distribution.zipf(128, 1.0).probs, (1.0 / k) / (1.0 / k).sum())
 
 
 def test_dirichlet_seeded_reproducible():

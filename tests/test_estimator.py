@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +42,10 @@ def test_params_validation():
 def test_eta_mode_sets_eps():
     p = EstimatorParams(n=64, gamma=2.0, eta=0.4)
     assert abs(p.eps - 0.05) < 1e-15
+    assert EstimatorParams(n=64, gamma=2.0).eps == 0.1
+    # eps given with eta was once replaced by eta/8 without a word
+    with pytest.raises(ValidationError, match=r"eps = 0\.3, eta = 0\.8"):
+        EstimatorParams(n=256, gamma=2.0, eps=0.3, eta=0.8)
 
 
 def test_derived_params_frozen_n256_gamma2():
@@ -262,6 +267,19 @@ def test_certified_error_over_budget_is_rejected(monkeypatch):
                         lambda c, delta, eps: real(c, delta, 1000.0 * eps))
     with pytest.raises(ValidationError,
                        match=r"degree-2 polynomial for x\^0\.5 .* 763\.7x its budget"):
+        derive_params(EstimatorParams(n=256, gamma=2.0))
+
+
+def test_polynomial_above_the_qsvt_bound_is_rejected(monkeypatch):
+    real = estimator_module.taylor_poly_neg
+
+    def to_one_and_a_half(c, delta, eps):
+        poly = real(c, delta, eps)
+        return dataclasses.replace(poly, coeffs=1.5 * poly.coeffs / np.abs(poly.coeffs).sum())
+
+    monkeypatch.setattr(estimator_module, "taylor_poly_neg", to_one_and_a_half)
+    with pytest.raises(ValidationError,
+                       match=r"degree-\d+ polynomial for x\^-0\.5 reaches 1\.5, above the QSVT bound 1"):
         derive_params(EstimatorParams(n=256, gamma=2.0))
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -91,32 +94,76 @@ def test_degree_within_bound():
 
 
 def test_rescale_keeps_error_budget():
-    # small c, small delta pushes the raw series above 1 near x = 0,
-    # triggering the rescale path
+    # small c, small delta pushes the raw series above 1 at x = 0, so the
+    # builder divides it by its coefficient sum, the maximum of |poly|
     poly = taylor_poly_neg(0.5, 0.05, 1e-3)
+    assert poly.normalization < 0.5 * 0.05 ** 0.5
     rep = certify(poly, grid_points=8001)
-    if rep.rescaled:
-        assert rep.scale > 1.0
-    assert rep.max_abs <= 1.0 + 1e-12
+    assert abs(rep.max_abs - 1.0) <= 1e-12
     assert rep.sup_error <= 1e-3
 
 
 @pytest.mark.parametrize("make", [lambda: taylor_poly_pos(0.3, 0.05, 1e-6),
                                   lambda: taylor_poly_neg(0.3, 0.05, 1e-6)])
 def test_certify_matches_separate_grid_passes(make):
-    # certify evaluates both grids in one pass; the neg case is rescaled
-    poly, ref = make(), make()
+    # certify evaluates both grids in one pass; the neg case comes rescaled
+    poly = make()
     rep = certify(poly, 4001)
     full = _cert_grid(-1.0, 1.0, 4001)
-    max_abs = float(np.abs(ref(full)).max())
-    if max_abs > 1.0 + 1e-12:
-        ref.coeffs = ref.coeffs / max_abs
-        ref.normalization /= max_abs
-        max_abs = float(np.abs(ref(full)).max())
-    dom = _cert_grid(ref.delta, 1.0, 4001)
-    assert rep.max_abs == max_abs
-    assert rep.sup_error == float(np.abs(ref(dom) - ref.target(dom)).max())
-    assert np.array_equal(poly.coeffs, ref.coeffs)
+    dom = _cert_grid(poly.delta, 1.0, 4001)
+    assert rep.max_abs == float(np.abs(poly(full)).max())
+    assert rep.sup_error == float(np.abs(poly(dom) - poly.target(dom)).max())
+
+
+def test_certify_leaves_the_polynomial_unchanged():
+    # certify once divided a polynomial above 1 in place; the first one here it
+    # rescaled, the second has max |poly| = 2
+    built = taylor_poly_neg(0.5, 0.05, 1e-3)
+    doubled = dataclasses.replace(built, coeffs=2.0 * built.coeffs,
+                                  normalization=2.0 * built.normalization)
+    for poly in (built, doubled, taylor_poly_pos(0.3, 0.05, 1e-6)):
+        before = (poly.coeffs.tobytes(), poly.normalization, poly.eps_cert)
+        certify(poly, 4001)
+        assert (poly.coeffs.tobytes(), poly.normalization, poly.eps_cert) == before
+    assert abs(certify(doubled, 4001).max_abs - 2.0) <= 1e-12
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.normalization = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        built.coeffs[0] = 1.0
+
+
+# (n, gamma, eps, alpha, m_bits, degrees) of the benchmark workloads mult_zipf_large,
+# additive_zipf, vn_spectral and oracle_dense, then of the goldens in test_estimator.py
+# (zipf4096_sampled, density32, additive_zipf256, dense_oracle8 and statevector_qpe8)
+DERIVED_CASES = [
+    (2**18, 1.5, 0.1, 1.0, None, (378, 399)),
+    (4096, 1.0 + 0.25 / 12, 0.25 / 48, 1.0, 12, (91405, 91544)),
+    (1024, 1.5, 0.1, 32.0, None, (3354, 3662)),
+    (64, 1.5, 0.1, 8.0, None, (261, 292)),
+    (4096, 1.5, 0.1, 1.0, None, (126, 135)),
+    (32, 1.5, 0.1, math.sqrt(32), None, (146, 157)),
+    (256, 1.0 + 0.25 / 8, 0.25 / 32, 1.0, 8, (4232, 4247)),
+    (8, 1.5, 0.1, 1.0, None, (9, 10)),
+]
+
+
+def test_tail_bound_and_builder_scale_cover_the_grid_measurements():
+    # the analytic tail bound eps_cert must dominate the grid's sup error, and
+    # the builder's scale must keep the grid's max |poly| within the bound 1
+    polys = []
+    for n, gamma, eps, alpha, m_bits, degrees in DERIVED_CASES:
+        d = derive_params(EstimatorParams(n=n, gamma=gamma, eps=eps), alpha=alpha, m_bits=m_bits)
+        assert (d.poly_pos.degree, d.poly_neg.degree) == degrees
+        polys += [(d.poly_pos, CERT_GRID_POINTS), (d.poly_neg, CERT_GRID_POINTS)]
+    for c in (0.1, 0.25, 0.5):  # the grid of acceptance criterion 04
+        for delta in (0.05, 0.1, 0.25):
+            for eps in (1e-2, 1e-3, 1e-4):
+                polys += [(build(c, delta, eps), 20001)
+                          for build in (taylor_poly_pos, taylor_poly_neg)]
+    for poly, points in polys:
+        rep = certify(poly, points)
+        assert rep.sup_error <= poly.eps_cert, (poly.degree, poly.sign, rep)
+        assert rep.max_abs <= 1.0 + 1e-12, (poly.degree, poly.sign, rep)
 
 
 def _horner_out_of_place(poly, x):
@@ -128,7 +175,7 @@ def _horner_out_of_place(poly, x):
 
 
 def _truncated(poly, degree):
-    return TaylorPolynomial(coeffs=poly.coeffs[:degree + 1].copy(), degree=degree, c=poly.c,
+    return TaylorPolynomial(coeffs=poly.coeffs[:degree + 1].copy(), c=poly.c,
                             sign=poly.sign, delta=poly.delta,
                             normalization=poly.normalization, eps_cert=poly.eps_cert)
 
