@@ -130,8 +130,8 @@ def classical_baseline(p: Distribution, gamma: float, eta: float = 0.0,
     mass is a ratio of integer counts, so an all-light sample books exactly
     log2(n)/gamma.  More than MAX_BASELINE_SAMPLES samples raise ValidationError.
     """
-    if not (math.isfinite(gamma) and gamma > 1.0):
-        raise ValidationError(f"gamma must be finite and exceed 1, got {gamma}")
+    if not (math.isfinite(gamma * gamma) and gamma > 1.0):
+        raise ValidationError(f"gamma must exceed 1 and have a finite square, got {gamma}")
     if not math.isfinite(eta):
         raise ValidationError(f"eta must be finite, got {eta}")
     n = p.n

@@ -13,10 +13,32 @@ import numpy as np
 
 SUM_TOL = 1e-12
 EIG_CLAMP = 1e-12
+_HERMITIAN_BLOCK = 2**16  # entries of one row block of the Hermitian check (1 MB)
 
 
 class ValidationError(ValueError):
     """Raised when an input fails a structural check (negativity, bad sum, ...)."""
+
+
+def _record_field(rec: dict, key: str, convert=lambda v: np.asarray(v, dtype=float)):
+    """convert(rec[key]); a ragged or non-numeric field raises ValidationError."""
+    try:
+        return convert(rec[key])
+    except (TypeError, ValueError):
+        raise ValidationError(f"record field {key!r} is ragged or not numeric") from None
+
+
+def _is_hermitian(m: np.ndarray, rows: int | None = None) -> bool:
+    """np.allclose(m, m.conj().T, atol=1e-10), decided block by block.
+
+    Each block of `rows` rows (default: about _HERMITIAN_BLOCK entries) is
+    compared with the matching column block under the same elementwise rule,
+    so the decision is the same and no n x n temporary is made.
+    """
+    n = m.shape[0]
+    rows = rows or max(1, _HERMITIAN_BLOCK // max(n, 1))
+    return all(np.allclose(m[i:i + rows], m[:, i:i + rows].conj().T, atol=1e-10)
+               for i in range(0, n, rows))
 
 
 def _as_prob_vector(probs) -> np.ndarray:
@@ -86,8 +108,8 @@ class Distribution:
 
     @staticmethod
     def from_record(rec: dict) -> "Distribution":
-        p = np.asarray(rec["probs"], dtype=float)
-        if int(rec["n"]) != p.size:
+        p = _record_field(rec, "probs")
+        if _record_field(rec, "n", int) != p.size:
             raise ValidationError("record field 'n' disagrees with probs length")
         return Distribution(p)
 
@@ -105,7 +127,10 @@ class DensityMatrix:
 
     Validation computes the eigenvalues to check PSD; they are kept, ascending
     and read-only, in `eigenvalues`, so `spectrum()` and every estimate on the
-    matrix reuse them instead of decomposing it again.
+    matrix reuse them instead of decomposing it again.  A complex matrix is
+    kept without a copy, and the Hermitian check runs over row blocks of
+    about _HERMITIAN_BLOCK entries, so the checks before `eigvalsh` make no
+    n x n temporary but the finite check's boolean mask.
     """
 
     mat: np.ndarray
@@ -117,7 +142,7 @@ class DensityMatrix:
             raise ValidationError("density matrix must be square")
         if not np.all(np.isfinite(m)):
             raise ValidationError("density matrix entries must be finite (found NaN or inf)")
-        if not np.allclose(m, m.conj().T, atol=1e-10):
+        if not _is_hermitian(m):
             raise ValidationError("density matrix must be Hermitian")
         tr = float(np.real(np.trace(m)))
         if abs(tr - 1.0) > 1e-10:
@@ -145,20 +170,36 @@ class DensityMatrix:
     # -- constructors -------------------------------------------------
     @staticmethod
     def from_distribution(p: Distribution) -> "DensityMatrix":
-        return DensityMatrix(np.diag(p.probs).astype(complex))
+        return DensityMatrix(np.diag(p.probs.astype(complex)))
 
     @staticmethod
     def maximally_mixed(n: int) -> "DensityMatrix":
-        return DensityMatrix(np.eye(n, dtype=complex) / n)
+        m = np.eye(n, dtype=complex)
+        m /= n
+        return DensityMatrix(m)
 
     @staticmethod
     def random(n: int, rng: np.random.Generator, alpha: float = 1.0) -> "DensityMatrix":
-        """Random eigenbasis (Haar via QR) with Dirichlet(alpha) eigenvalues."""
+        """Random eigenbasis (Haar via QR, Mezzadri's phase fix) with
+        Dirichlet(alpha) eigenvalues.
+
+        At most the four n x n arrays of the QR are live at once, and none
+        of the intermediates outlives the product q diag(ev) q^H.
+        """
         ev = Distribution.dirichlet(n, rng, alpha).probs
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        g = np.empty((n, n), dtype=complex)
+        g.real = rng.normal(size=(n, n))
+        g.imag = rng.normal(size=(n, n))
         q, r = np.linalg.qr(g)
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        return DensityMatrix((q * ev) @ q.conj().T)
+        del g
+        d = np.diagonal(r)
+        q *= d / np.abs(d)
+        del r, d
+        qh = q.conj()
+        q *= ev
+        rho = q @ qh.T
+        del q, qh
+        return DensityMatrix(rho)
 
     # -- serialization ------------------------------------------------
     def to_record(self) -> dict:
@@ -170,9 +211,15 @@ class DensityMatrix:
 
     @staticmethod
     def from_record(rec: dict) -> "DensityMatrix":
-        m = np.asarray(rec["re"], dtype=float) + 1j * np.asarray(rec["im"], dtype=float)
-        if int(rec["n"]) != m.shape[0]:
+        re, im = _record_field(rec, "re"), _record_field(rec, "im")
+        if re.ndim != 2 or im.shape != re.shape:
+            raise ValidationError(f"record fields 're' and 'im' must be matrices of one shape, "
+                                  f"got {re.shape} and {im.shape}")
+        if _record_field(rec, "n", int) != re.shape[0]:
             raise ValidationError("record field 'n' disagrees with matrix shape")
+        m = np.empty(re.shape, dtype=complex)
+        m.real = re
+        m.imag = im
         return DensityMatrix(m)
 
     def to_json(self) -> str:
@@ -354,8 +401,9 @@ def gen_collision_pair(n: int, gamma: float, size_cap: int = 1 << 22) -> tuple[D
     The subset size is rounded to the nearest integer >= 2; the realized
     entropy ratio log2(N)/log2(M) (ideally gamma^2 + 1) is recorded.
     """
-    if n < 2 or not (math.isfinite(gamma) and gamma > 1.0):
-        raise ValidationError(f"need n >= 2 and a finite gamma > 1, got n={n}, gamma={gamma}")
+    if n < 2 or not (math.isfinite(gamma * gamma) and gamma > 1.0):
+        raise ValidationError(f"need n >= 2 and a gamma > 1 with a finite square, "
+                              f"got n={n}, gamma={gamma}")
     m = max(2, round(n ** (1.0 / gamma**2)))
     big = n * m
     if big > size_cap:

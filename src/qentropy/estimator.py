@@ -68,8 +68,8 @@ class EstimatorParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError("n must be >= 2")
-        if not (math.isfinite(self.gamma) and self.gamma > 1.0):
-            raise ValidationError(f"gamma must be finite and exceed 1, got {self.gamma}")
+        if not (math.isfinite(self.gamma * self.gamma) and self.gamma > 1.0):
+            raise ValidationError(f"gamma must exceed 1 and have a finite square, got {self.gamma}")
         if self.eps is not None and self.eta is not None:
             raise ValidationError(f"give eps or eta, not both: eps = {self.eps}, "
                                   f"eta = {self.eta}")
@@ -143,7 +143,8 @@ def derive_params(params: EstimatorParams, alpha: float = 1.0,
         err = max(poly.eps_cert, rep.sup_error)
         if err > eps2:
             raise ValidationError(f"{name} is certified to {err:.3g}, "
-                                  f"{err / eps2:.4g}x its budget eps2 = {eps2:.3g}")
+                                  f"{err / eps2:.4g}x its budget eps2 = {eps2:.3g} "
+                                  f"at gamma = {gamma}")
     return DerivedParams(
         m_bits=m_bits, sqrt_beta_prime=sqrt_beta, beta_prime=beta_prime,
         gamma_prime=gamma_prime, gamma_heavy=gamma_heavy, a=a, delta=delta,

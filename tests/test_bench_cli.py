@@ -195,6 +195,22 @@ def test_cli_invalid_args_exit_2(tmp_path, capsys):
                         "--gamma", "2.0"]) == 2
     assert run_cli(["sweep", "--n-list", "64,abc", "--gamma", "2.0"]) == 2
     assert "'bogus'" in capsys.readouterr().err
+    # malformed record fields (re and im of different shapes, ragged rows,
+    # non-numeric entries) are refused by the name of the field
+    records = {
+        "shapes.json": ('{"n": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0, 0]]}', "'im'"),
+        "ragged_re.json": ('{"n": 2, "re": [[0.5, 0], [0]], "im": [[0, 0], [0, 0]]}', "'re'"),
+        "text_re.json": ('{"n": 2, "re": [[0.5, "x"], [0, 0.5]], "im": [[0, 0], [0, 0]]}',
+                         "'re'"),
+        "ragged_im.json": ('{"n": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], 0]}', "'im'"),
+        "text_probs.json": ('{"n": 2, "probs": [0.5, "x"]}', "'probs'"),
+        "ragged_probs.json": ('{"n": 2, "probs": [0.5, [0.5]]}', "'probs'"),
+        "text_n.json": ('{"n": "two", "probs": [0.5, 0.5]}', "'n'"),
+    }
+    for name, (text, field) in records.items():
+        (tmp_path / name).write_text(text)
+        assert run_cli(["estimate", "--input", str(tmp_path / name), "--gamma", "2.0"]) == 2, name
+        assert field in capsys.readouterr().err, name
     # there is one SVE model, so no command offers a statevector mode
     for task, flags in (("estimate", ["--gamma", "1.5"]),
                         ("additive", ["--eps-add", "0.5"]),
@@ -215,6 +231,12 @@ def test_cli_invalid_args_exit_2(tmp_path, capsys):
             (["estimate", "--gen", "uniform:n=64", "--gamma", "nan"], "gamma"),
             (["estimate", "--gen", "uniform:n=64", "--gamma", "inf"], "gamma"),
             (["baseline", "--gen", "uniform:n=64", "--gamma", "nan"], "gamma"),
+            # a gamma whose square overflows a float
+            (["estimate", "--gen", "uniform:n=64", "--gamma", "1e200"], "gamma"),
+            (["baseline", "--gen", "uniform:n=64", "--gamma", "1e200"], "gamma"),
+            (["lowerbound", "--kind", "collision", "--n", "64", "--param", "1e200"], "gamma"),
+            # a finite square, but a budget eps2 no polynomial can meet
+            (["estimate", "--gen", "uniform:n=64", "--gamma", "1e100"], "gamma = 1e+100"),
             (["baseline", "--gen", "uniform:n=64", "--gamma", "2", "--eta-sample", "nan"],
              "eta"),
             # s = n^((1+eta)/gamma^2) log2(n) overflowed a float at eta = 1000 and

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qentropy import (
     DensityMatrix,
@@ -24,7 +26,7 @@ from qentropy import (
     von_neumann_entropy,
     weight,
 )
-from qentropy.dists import EIG_CLAMP
+from qentropy.dists import EIG_CLAMP, _is_hermitian
 
 
 def test_distribution_validation():
@@ -156,6 +158,107 @@ def test_random_density_matrix_basis_invariance():
     assert np.allclose(rho.mat, rho2.mat, atol=1e-15)
 
 
+def _old_random(n, rng, alpha):
+    """DensityMatrix.random's matrix as the unbounded expression wrote it."""
+    ev = Distribution.dirichlet(n, rng, alpha).probs
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(g)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return (q * ev) @ q.conj().T
+
+
+def test_constructors_are_bit_identical_to_the_unbounded_expressions():
+    for n in (1, 2, 7, 64, 300):
+        for seed in (0, 3, 11):
+            for alpha in (0.5, 1.0, 4.0):
+                rho = DensityMatrix.random(n, np.random.default_rng(seed), alpha)
+                old = _old_random(n, np.random.default_rng(seed), alpha)
+                assert rho.mat.tobytes() == old.tobytes(), (n, seed, alpha)
+        p = Distribution.dirichlet(n, np.random.default_rng(n))
+        assert (DensityMatrix.from_distribution(p).mat.tobytes()
+                == np.diag(p.probs).astype(complex).tobytes())
+        assert (DensityMatrix.maximally_mixed(n).mat.tobytes()
+                == (np.eye(n, dtype=complex) / n).tobytes())
+        rec = DensityMatrix.random(n, np.random.default_rng(n)).to_record()
+        old = np.asarray(rec["re"], dtype=float) + 1j * np.asarray(rec["im"], dtype=float)
+        assert DensityMatrix.from_record(rec).mat.tobytes() == old.tobytes()
+
+
+def _edge_perturbed(n, seed, scale, factors):
+    """A Hermitian matrix with entries moved to `factor` times the allclose
+    tolerance atol + rtol * |m_ji| away from the conjugate of their mirror."""
+    rng = np.random.default_rng(seed)
+    a = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    m = (a + a.conj().T) / 2
+    for factor in factors:
+        i, j = rng.integers(n, size=2)
+        tol = 1e-10 + 1e-5 * abs(m[j, i])
+        m[i, j] += factor * tol * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 40), rows=st.integers(1, 45), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.0, 1e-12, 1e-6, 1.0, 1e4]),
+       factors=st.lists(st.sampled_from([0.5, 0.999999, 1.0, 1.000001, 2.0, 1e6]),
+                        max_size=3))
+@example(n=1, rows=1, seed=0, scale=1.0, factors=[1.000001])
+@example(n=7, rows=3, seed=1, scale=1.0, factors=[0.999999])
+def test_blocked_hermitian_check_agrees_with_allclose(n, rows, seed, scale, factors):
+    m = _edge_perturbed(n, seed, scale, factors)
+    want = np.allclose(m, m.conj().T, atol=1e-10)
+    assert _is_hermitian(m, rows) == want
+    assert _is_hermitian(m) == want
+
+
+def test_blocked_hermitian_check_spans_default_blocks():
+    # n = 300 makes row blocks of 218 and 82; a perturbation in either block
+    # just past the tolerance is caught, one just inside it is not
+    for i, j in ((5, 250), (250, 5), (299, 0)):
+        for factor, want in ((1.000001, False), (0.999999, True)):
+            m = _edge_perturbed(300, 0, 1.0, [])
+            m[i, j] += factor * (1e-10 + 1e-5 * abs(m[j, i]))
+            assert np.allclose(m, m.conj().T, atol=1e-10) == want
+            assert _is_hermitian(m) == want, (i, j, factor)
+
+
+def _traced_peak(fn):
+    """Peak bytes that fn() holds above the starting level, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_random_holds_at_most_the_qr_arrays(monkeypatch):
+    n = 512
+    size = 16 * n * n
+    at_eig = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kw):
+        at_eig.append(tracemalloc.get_traced_memory()[0])
+        return eigvalsh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    peak = _traced_peak(lambda: DensityMatrix.random(n, np.random.default_rng(0)))
+    # the QR holds four matrix sizes: its input, its copy of it, q and r
+    assert peak <= 4.5 * size, peak / size
+    # validation sees only the result: no intermediate of the product is live
+    assert at_eig[0] <= 1.1 * size, at_eig[0] / size
+
+
+def test_validation_makes_no_matrix_sized_temporary():
+    # at n = 1024 a Hermitian-check block of 2^16 entries is 1/16 of the
+    # matrix, and the check holds about 2.5 blocks at once
+    m = np.array(DensityMatrix.random(1024, np.random.default_rng(0)).mat)
+    peak = _traced_peak(lambda: DensityMatrix(m))
+    assert peak <= 0.25 * m.nbytes, peak / m.nbytes
+
+
 def test_spectrum_reads_validation_eigenvalues_bit_for_bit():
     for rho in (DensityMatrix.random(6, np.random.default_rng(1)),
                 DensityMatrix.random(64, np.random.default_rng(2)),
@@ -223,7 +326,7 @@ def test_constructors_name_bad_sizes_and_labels():
     for i in (4, 9, -1):
         with pytest.raises(ValidationError, match="0 <= i < n"):
             Distribution.point_mass(4, i)
-    for gamma in (math.nan, math.inf, 1.0):
+    for gamma in (math.nan, math.inf, 1.0, 1e200):
         with pytest.raises(ValidationError, match="gamma"):
             gen_collision_pair(64, gamma)
 
