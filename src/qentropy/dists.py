@@ -57,12 +57,16 @@ def _as_prob_vector(probs) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """A probability distribution over {0, ..., n-1}."""
+    """A probability distribution over {0, ..., n-1}.
+
+    A float array is not copied: `probs` is a read-only view of it, and the
+    caller's array stays writable, so writing to it changes the distribution.
+    """
 
     probs: np.ndarray
 
     def __post_init__(self):
-        p = _as_prob_vector(self.probs)
+        p = _as_prob_vector(self.probs).view()
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -128,16 +132,18 @@ class DensityMatrix:
     Validation computes the eigenvalues to check PSD; they are kept, ascending
     and read-only, in `eigenvalues`, so `spectrum()` and every estimate on the
     matrix reuse them instead of decomposing it again.  A complex matrix is
-    kept without a copy, and the Hermitian check runs over row blocks of
-    about _HERMITIAN_BLOCK entries, so the checks before `eigvalsh` make no
-    n x n temporary but the finite check's boolean mask.
+    not copied: `mat` is a read-only view of it, and the caller's array stays
+    writable, so writing to it changes the matrix behind the stored
+    eigenvalues.  The Hermitian check runs over row blocks of about
+    _HERMITIAN_BLOCK entries, so the checks before `eigvalsh` make no n x n
+    temporary but the finite check's boolean mask.
     """
 
     mat: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
+        m = np.asarray(self.mat, dtype=complex).view()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("density matrix must be square")
         if not np.all(np.isfinite(m)):

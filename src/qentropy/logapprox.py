@@ -7,6 +7,9 @@ power functions are realized as truncated binomial (Taylor) series around
 x = 1, stored in the shifted basis (powers of x - 1) and evaluated at |x|,
 so they act as even functions of the singular value.  The builder scales
 each series to the QSVT bound |poly| <= 1 on [-1, 1]; `certify` only measures.
+Evaluation is blocked, one matrix product per chunk of points, and flushes
+powers below 2^-511 to 0 near |x| = 1, so high degrees run no subnormal
+arithmetic.
 """
 from __future__ import annotations
 
@@ -18,7 +21,9 @@ import numpy as np
 from .dists import ValidationError
 
 MAX_DEGREE = 5_000_000
-EVAL_CHUNK = 2**15      # entries of one evaluation chunk's power matrix (256 KB)
+EVAL_CHUNK = 2**15      # entries of a chunk's power matrix (256 KB) while b <= 128
+MIN_ROWS = 256          # fewest points per chunk: above b = 128 the matrix grows with b
+FLUSH_BELOW = 2.0**-511  # smaller powers become 0: two survivors multiply to a normal
 SERIES_CHUNK = 2**16    # most binomial-series terms built per cumulative product
 
 
@@ -53,8 +58,14 @@ class TaylorPolynomial:
     coeffs[k] multiplies (|x| - 1)^k; evaluation at |x| makes the realized
     function even in x, matching how it is applied to singular values.
     Evaluation is blocked (Paterson-Stockmeyer): the coefficients split into
-    about sqrt(degree) blocks of sqrt(degree) terms, the block sums come from
-    one matrix product per chunk of points, and Horner runs over the blocks.
+    b ~ sqrt(degree) blocks of b terms, the block sums come from one matrix
+    product per chunk of max(MIN_ROWS, EVAL_CHUNK // b) points, and Horner
+    runs over the blocks.  In a chunk holding some 0 < |y| < 2^(-511/b),
+    y = |x| - 1, each power y^k and the Horner step z = y^b is flushed to 0
+    below FLUSH_BELOW, so the powers and their products stay normal; a
+    dropped term is below FLUSH_BELOW * sum |coeffs|.  The last bits of
+    poly(x) can depend on the chunk a point falls in, so on where it sits
+    in x.
     `normalization` is the scale of the approximated target: poly(x) is
     within eps_cert of normalization * x^(sign*c) on [delta, 1].
     """
@@ -86,25 +97,37 @@ class TaylorPolynomial:
         blocks = np.zeros(n_blocks * b)
         blocks[:self.coeffs.size] = self.coeffs
         blocks = blocks.reshape(n_blocks, b)        # row j: coefficients of block j
-        rows = min(y.size, max(1, EVAL_CHUNK // b))
+        rows = min(y.size, max(MIN_ROWS, EVAL_CHUNK // b))
+        # only a chunk holding some 0 < |y| < 2^(-511/b) can have a power up to
+        # y^b below FLUSH_BELOW; there powers are flushed, so their products stay normal.
+        # `out` holds |y| first: a fresh array that size costs more than the test
+        out = np.empty_like(y)
+        near = np.flatnonzero(np.abs(y, out=out) < FLUSH_BELOW ** (1.0 / b))
+        flush_chunks = set((near[y[near] != 0.0] // rows).tolist()) if near.size else ()
         # buffers reused by every chunk: fresh ones per chunk cost more than the work
         powers = np.empty((b, rows))                # row k: y^k over the chunk
         sums = np.empty((n_blocks, rows))           # row j: B_j(y) over the chunk
         z = np.empty(rows)
         powers[0] = 1.0
-        out = np.empty_like(y)
-        for start in range(0, y.size, rows):
+        for chunk, start in enumerate(range(0, y.size, rows)):
             yc = y[start:start + rows]
             if yc.size < rows:                      # the last, shorter chunk
                 powers, sums, z = powers[:, :yc.size], sums[:, :yc.size], z[:yc.size]
+            flush = chunk in flush_chunks
             w = 1
             while w < b:                            # rows [w, 2w) = rows [0, w) * y^w
                 step = min(w, b - w)
                 np.multiply(powers[w - 1], yc, out=z)
+                if flush:
+                    _flush_tiny(z)
                 np.multiply(powers[:step], z, out=powers[w:w + step])
                 w += step
+            if flush:  # y^k times a flushed y^w (k < w) is normal or 0; drop those below 2^-511
+                _flush_tiny(powers, scratch=sums[:b])
             np.matmul(blocks, powers, out=sums)
             np.multiply(powers[b - 1], yc, out=z)   # z = y^b
+            if flush:
+                _flush_tiny(z)
             acc = sums[n_blocks - 1]
             for j in range(n_blocks - 2, -1, -1):
                 acc *= z
@@ -116,6 +139,14 @@ class TaylorPolynomial:
         x = np.asarray(x, dtype=float)
         out = self.normalization * x ** (self.sign * self.c)
         return float(out) if out.ndim == 0 else out
+
+
+def _flush_tiny(a: np.ndarray, scratch: np.ndarray | None = None):
+    """Set the entries of `a` below FLUSH_BELOW in magnitude to 0, in place.
+
+    `scratch`, of a's shape, receives |a|; by default a fresh array does.
+    """
+    np.copyto(a, 0.0, where=np.abs(a, out=scratch) < FLUSH_BELOW)
 
 
 def taylor_poly_pos(c: float, delta: float, eps: float) -> TaylorPolynomial:

@@ -299,6 +299,21 @@ def test_stored_eigenvalues_are_read_only_and_validated():
         DensityMatrix(np.array([[0.5, 1.0], [1.0, 0.5]]))
 
 
+def test_inputs_stay_writable_and_are_not_copied():
+    # both classes once set the caller's own array read-only
+    p = np.array([0.5, 0.5])
+    dist = Distribution(p)
+    m = np.eye(2, dtype=complex) / 2
+    rho = DensityMatrix(m)
+    for stored, given_ in ((dist.probs, p), (rho.mat, m)):
+        assert np.shares_memory(stored, given_)
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 1.0
+    p[0] = 1.0
+    m[0, 0] = 1.0
+    assert dist.probs[0] == 1.0 and rho.mat[0, 0] == 1.0
+
+
 def test_replace_recomputes_eigenvalues():
     rho = DensityMatrix.maximally_mixed(4)
     pure = np.zeros((4, 4), dtype=complex)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qentropy import EstimatorParams, derive_params
 from qentropy.estimator import CERT_GRID_POINTS
@@ -180,10 +181,17 @@ def _truncated(poly, degree):
                             normalization=poly.normalization, eps_cert=poly.eps_cert)
 
 
+# points where the powers of |x| - 1 fall below the normal range at high degree
+EDGE_POINTS = np.array([*(1.0 - 10.0**-k for k in range(1, 17)), 1.0 - 2.0**-53,
+                        1.0, -1.0, 0.0, -(1.0 - 2.0**-53)])
+
+
 def _assert_matches_horner(poly, x):
+    with np.errstate(under="raise"):  # no power or block sum is computed as a subnormal
+        got = poly(x)
     # blocked evaluation sums in another order: allow 64 ulps of sum |c_k|
     tol = 64 * np.finfo(float).eps * np.abs(poly.coeffs).sum()
-    assert np.max(np.abs(poly(x) - _horner_out_of_place(poly, x))) <= tol
+    assert np.max(np.abs(got - _horner_out_of_place(poly, x))) <= tol
 
 
 # degrees 15, 16 and 17 sit around a block width squared (b = 4, b^2 = 16)
@@ -196,7 +204,7 @@ def _assert_matches_horner(poly, x):
 ])
 def test_blocked_evaluation_matches_out_of_place_horner(make):
     poly = make()
-    _assert_matches_horner(poly, np.linspace(-1.0, 1.0, 2001))
+    _assert_matches_horner(poly, np.concatenate((np.linspace(-1.0, 1.0, 2001), EDGE_POINTS)))
     assert poly(0.4) == float(poly(np.array([0.4]))[0])
     assert poly(np.array([])).shape == (0,)
 
@@ -209,4 +217,16 @@ def test_blocked_evaluation_matches_horner_on_additive_certify_grid():
         assert poly.degree > 90_000
         grid = np.concatenate((_cert_grid(-1.0, 1.0, CERT_GRID_POINTS),
                                _cert_grid(poly.delta, 1.0, CERT_GRID_POINTS)))
-        _assert_matches_horner(poly, grid[::8])
+        with np.errstate(under="raise"):  # the whole grid, powers flushed below 2^-511
+            poly(np.concatenate((grid, EDGE_POINTS)))
+        _assert_matches_horner(poly, np.concatenate((grid[::8], EDGE_POINTS)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=st.floats(0.01, 1.0), delta=st.floats(1.5e-3, 0.5), log_eps=st.floats(-12.0, -2.0),
+       build=st.sampled_from([taylor_poly_pos, taylor_poly_neg]))
+@example(c=0.99, delta=1.5e-3, log_eps=-12.0, build=taylor_poly_neg)  # degree 17,919, b = 133
+def test_blocked_evaluation_matches_horner_without_underflow(c, delta, log_eps, build):
+    # degrees up to about 18k, so some block widths exceed 128 and take MIN_ROWS points
+    poly = build(c, delta, 10.0**log_eps)
+    _assert_matches_horner(poly, np.concatenate((np.linspace(-1.0, 1.0, 601), EDGE_POINTS)))
