@@ -59,6 +59,7 @@ from .estimator import (
     EstimateReport,
     EstimationPlan,
     EstimatorParams,
+    ThresholdReport,
     check_guarantee,
     derive_params,
     entropy_threshold_test,
@@ -66,7 +67,9 @@ from .estimator import (
     estimate_entropy,
     heavy_entropy,
     lightweight,
+    plan_additive,
     plan_estimate,
+    plan_threshold,
     promise_threshold,
     total_query_bound,
 )

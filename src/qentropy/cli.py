@@ -22,9 +22,10 @@ from .bench import (
 )
 from .estimator import (
     EstimatorParams,
-    estimate_additive,
-    estimate_entropy,
-    entropy_threshold_test,
+    ThresholdReport,
+    plan_additive,
+    plan_estimate,
+    plan_threshold,
 )
 
 EXIT_OK = 0
@@ -62,11 +63,8 @@ def config_flags(path: str) -> list[str]:
     return flags
 
 
-def parse_gen(spec: str, seed: int = 0):
-    """Generator spec 'name:key=val,...' -> Distribution.
-
-    Names: uniform, point, zipf, dirichlet, highent.
-    """
+def _gen_spec(spec: str) -> tuple[str, dict]:
+    """Generator spec 'name:key=val,...' -> (name, {key: number}), every key checked."""
     name, _, rest = spec.partition(":")
     if name not in GEN_KEYS:
         raise ValidationError(f"unknown generator {name!r}")
@@ -88,6 +86,15 @@ def parse_gen(spec: str, seed: int = 0):
                                           f"got {v!r}")
             elif not math.isfinite(kw[k]):
                 raise ValidationError(f"generator key {k!r} needs a finite number, got {v!r}")
+    return name, kw
+
+
+def parse_gen(spec: str, seed: int = 0):
+    """Generator spec 'name:key=val,...' -> Distribution.
+
+    Names: uniform, point, zipf, dirichlet, highent.
+    """
+    name, kw = _gen_spec(spec)
     n = int(kw.get("n", 64))
     if name == "uniform":
         return Distribution.uniform(n)
@@ -119,15 +126,18 @@ def load_input(path: str):
     raise ValidationError("input file is neither a distribution nor a density matrix")
 
 
-def _source_at_seed(args):
-    """seed -> source.  An --input file is read once per run; a --gen spec is
-    built at each seed, since the dirichlet and highent generators read it."""
+def _plans(args, plan, seeds):
+    """plan(source) for each seed.  An --input file, or a --gen spec that does not
+    read the seed, is read, validated and planned once per run; dirichlet and
+    highent without seed= build a new input, and so a new plan, at each seed."""
     if args.input:
-        src = load_input(args.input)
-        return lambda seed: src
-    if args.gen:
-        return lambda seed: parse_gen(args.gen, seed)
-    raise ValidationError("provide --input or --gen")
+        return [plan(load_input(args.input))] * len(seeds)
+    if not args.gen:
+        raise ValidationError("provide --input or --gen")
+    name, kw = _gen_spec(args.gen)
+    if "seed" in GEN_KEYS[name] and "seed" not in kw:
+        return (plan(parse_gen(args.gen, seed)) for seed in seeds)
+    return [plan(parse_gen(args.gen))] * len(seeds)
 
 
 def _write(text: str, out_path):
@@ -147,16 +157,16 @@ def _exit_code(args, ok: bool) -> int:
     return EXIT_OK if (ok or not args.check) else EXIT_CHECK_FAILED
 
 
-def _trials(args, trial) -> int:
-    """Run trial(src, seed) -> (record, ok) at each seed and write the records."""
+def _trials(args, plan, trial) -> int:
+    """Run trial(plan(source), seed) -> (record, ok) at each seed and write the records."""
     first, count = (0, args.seeds) if args.trials is None else (args.seeds, args.trials)
     if first < 0:
         raise ValidationError(f"the base seed --seeds must be >= 0, got {first}")
     if count < 1:
         raise ValidationError(f"--{'seeds' if args.trials is None else 'trials'} "
                               f"must be >= 1, got {count}")
-    source = _source_at_seed(args)
-    results = [trial(source(seed), seed) for seed in range(first, first + count)]
+    seeds = range(first, first + count)
+    results = [trial(p, seed) for p, seed in zip(_plans(args, plan, seeds), seeds)]
     _emit([rec for rec, _ in results], args.out)
     return _exit_code(args, all(ok for _, ok in results))
 
@@ -164,40 +174,36 @@ def _trials(args, trial) -> int:
 def cmd_estimate(args) -> int:
     mode = MODE_MAP[args.mode]
 
-    def trial(src, seed):
-        params = EstimatorParams(n=src.n, gamma=args.gamma, eps=args.eps, eta=args.eta)
-        rep = estimate_entropy(src, params, mode=mode, seed=seed,
-                               repetitions=args.repetitions)
+    def trial(plan, seed):
+        rep = plan.run(mode, seed, args.repetitions)
         return rep.to_record(), rep.within_guarantee
-    return _trials(args, trial)
+    return _trials(args, lambda src: plan_estimate(src, EstimatorParams(
+        n=src.n, gamma=args.gamma, eps=args.eps, eta=args.eta)), trial)
 
 
 def cmd_additive(args) -> int:
     mode = MODE_MAP[args.mode]
 
-    def trial(src, seed):
-        rep = estimate_additive(src, args.eps_add, mode=mode, seed=seed,
-                                repetitions=args.repetitions)
+    def trial(plan, seed):
+        rep = plan.run(mode, seed, args.repetitions)
         rec = rep.to_record()
         rec["eps_add"] = args.eps_add
         rec["additive_error"] = abs(rep.h_tilde - rep.h_true)
         return rec, rec["additive_error"] <= args.eps_add
-    return _trials(args, trial)
+    return _trials(args, lambda src: plan_additive(src, args.eps_add), trial)
 
 
 def cmd_threshold(args) -> int:
     mode = MODE_MAP[args.mode]
 
-    def trial(src, seed):
-        rep = entropy_threshold_test(src, args.high, args.low, eps=args.eps,
-                                     mode=mode, seed=seed,
-                                     repetitions=args.repetitions)
+    def trial(plan, seed):
+        rep = ThresholdReport.decide(plan.run(mode, seed, args.repetitions), args.high, args.low)
         rec = {"high": rep.high, "h_tilde": rep.h_tilde, "gamma": rep.gamma,
                "cut": rep.cut, "seed": seed, "n": rep.estimate.n}
         # nothing to check when H lies strictly inside the gap (low, high)
         h = rep.estimate.h_true
         return rec, not ((h >= args.high and not rep.high) or (h <= args.low and rep.high))
-    return _trials(args, trial)
+    return _trials(args, lambda src: plan_threshold(src, args.high, args.low, args.eps), trial)
 
 
 def cmd_sweep(args) -> int:
@@ -227,7 +233,7 @@ def cmd_baseline(args) -> int:
             raise ValidationError("baseline runs on distributions only")
         rep = classical_baseline(src, args.gamma, eta=args.eta_sample, seed=seed)
         return rep.to_record(), rep.h_true / args.gamma <= rep.h_hat <= args.gamma * rep.h_true
-    return _trials(args, trial)
+    return _trials(args, lambda src: src, trial)
 
 
 # Finds --config on either side of the subcommand; also the main parser's parent.

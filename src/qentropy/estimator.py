@@ -8,9 +8,9 @@ entropy estimate
     H_tilde = H_heavy + w_light * log2(n) / gamma'
 that is (1+2*eps)*gamma-multiplicative whenever the entropy promise holds.
 
-The seed-independent work (singular value estimation and the light/heavy
-split) is planned once per call; each repetition only charges the ledger,
-transforms the heavy singular values and draws its amplitude estimates.
+The seed-independent work is an `EstimationPlan`, built once per source; each
+repetition of its `run` only charges the ledger, transforms the heavy singular
+values and draws its amplitude estimates.
 """
 from __future__ import annotations
 
@@ -164,41 +164,6 @@ class HeavyResult:
     heavy_flags: np.ndarray
 
 
-@dataclass(frozen=True)
-class EstimationPlan:
-    """The seed-independent part of an estimate, built once per call.
-
-    Holds one singular value estimation and the light/heavy split it
-    induces.  `sigma_heavy` keeps only the heavy singular values, so the
-    power polynomials act on at most 1/beta' values instead of n.
-    Each repetition charges the ledger for its own SVE, SVT and QAE calls
-    and makes fresh amplitude-estimation draws.
-    """
-
-    enc: ProjectedUnitaryEncoding
-    derived: DerivedParams
-    heavy_flags: np.ndarray
-    w_true: float                    # true mass of the light labels
-    p_heavy: np.ndarray              # (alpha * sigma)^2 on the heavy labels
-    sigma_heavy: np.ndarray          # the heavy singular values only
-    prep_cost: int                   # oracle uses of one SVE-based preparation
-
-
-def plan_estimate(enc: ProjectedUnitaryEncoding, derived: DerivedParams) -> EstimationPlan:
-    """Estimate the singular values once and split them at sqrt(beta')."""
-    # the SVE is charged by each stage of each repetition, not here
-    est = qsve(enc, derived.m_bits)
-    light = est < derived.sqrt_beta_prime
-    heavy = est >= derived.sqrt_beta_prime
-    heavy.setflags(write=False)
-    p = enc.true_values() ** 2
-    return EstimationPlan(
-        enc=enc, derived=derived, heavy_flags=heavy,
-        w_true=float(p[light].sum()), p_heavy=p[heavy],
-        sigma_heavy=enc.sigma[heavy],
-        prep_cost=sve_rounds(enc.alpha, derived.m_bits))
-
-
 def lightweight(plan: EstimationPlan, mode: str, rng: np.random.Generator,
                 ledger: QueryLedger) -> float:
     """Estimate the total mass of elements below the split threshold."""
@@ -299,57 +264,90 @@ def check_guarantee(h_tilde: float, h_true: float, gamma: float, eps: float) -> 
     return h_true / g <= h_tilde <= g * h_true
 
 
-def estimate_entropy(source, params: EstimatorParams, mode: str = "exact",
-                     seed: int = 0, repetitions: int = 1) -> EstimateReport:
-    """Full estimator: light mass + heavy power sums, optionally median-boosted.
+@dataclass(frozen=True)
+class EstimationPlan:
+    """The seed-independent part of an estimate: the encoding, its true entropy,
+    the derived parameters and the light/heavy split of one singular value
+    estimation.  The polynomials act on `sigma_heavy`, at most 1/beta' values,
+    not n.  The arrays are read-only and `run` keeps no state between seeds."""
 
-    `mode` is the amplitude-estimation noise model: exact (noise-free),
-    bound_only (adversarial within each error bound), sampled (exact
-    outcome distribution).  `repetitions` (odd) applies median boosting to
-    the final estimate; the ledger accumulates over all repetitions.
-    """
-    enc, h_true = _resolve_encoding(source)
-    return _estimate(enc, h_true, params, mode, seed, repetitions)
+    enc: ProjectedUnitaryEncoding
+    h_true: float
+    params: EstimatorParams
+    derived: DerivedParams
+    heavy_flags: np.ndarray
+    w_true: float                    # true mass of the light labels
+    p_heavy: np.ndarray              # (alpha * sigma)^2 on the heavy labels
+    sigma_heavy: np.ndarray          # the heavy singular values only
+    prep_cost: int                   # oracle uses of one SVE-based preparation
+
+    def run(self, mode: str = "exact", seed: int = 0, repetitions: int = 1) -> EstimateReport:
+        """Light mass + heavy power sums, median-boosted over `repetitions` (odd).
+
+        `mode` is the amplitude-estimation noise model: exact (noise-free),
+        bound_only (adversarial within each error bound), sampled (exact outcome
+        distribution).  Repetition k draws from seed + k; the ledger sums them all.
+        """
+        if repetitions < 1 or repetitions % 2 == 0:
+            raise ValidationError("repetitions must be a positive odd number")
+        params, derived = self.params, self.derived
+        ledger = QueryLedger()
+        estimates, heavies, lights = [], [], []
+        for k in range(repetitions):
+            rng = np.random.default_rng(seed + k)
+            w_tilde = lightweight(self, mode, rng, ledger)
+            hv = heavy_entropy(self, mode, rng, ledger)
+            h_k = max(0.0, hv.h_heavy + w_tilde * math.log2(params.n) / derived.gamma_prime)
+            estimates.append(h_k)
+            heavies.append(hv.h_heavy)
+            lights.append(w_tilde)
+        h_tilde = boost_median(estimates) if repetitions > 1 else estimates[0]
+        return EstimateReport(
+            h_tilde=h_tilde, h_true=self.h_true, gamma=params.gamma, eps=params.eps,
+            mode=mode, seed=seed, repetitions=repetitions, n=params.n,
+            alpha=self.enc.alpha, h_heavy=float(np.median(heavies)),
+            w_light=float(np.median(lights)), m_bits=derived.m_bits,
+            gamma_prime=derived.gamma_prime, a=derived.a,
+            deg_pos=derived.poly_pos.degree, deg_neg=derived.poly_neg.degree,
+            ledger=ledger.snapshot(),
+            within_guarantee=check_guarantee(h_tilde, self.h_true, params.gamma, params.eps),
+            promise_satisfied=self.h_true >= promise_threshold(params.gamma, params.eps),
+        )
 
 
-def _estimate(enc: ProjectedUnitaryEncoding, h_true: float, params: EstimatorParams,
-              mode: str, seed: int, repetitions: int,
-              m_bits: int | None = None) -> EstimateReport:
-    """Plan once, then draw each repetition from its own seed."""
-    if repetitions < 1 or repetitions % 2 == 0:
-        raise ValidationError("repetitions must be a positive odd number")
+def _plan(enc: ProjectedUnitaryEncoding, h_true: float, params: EstimatorParams,
+          m_bits: int | None = None) -> EstimationPlan:
+    """Derive the parameters, estimate the singular values once and split them at sqrt(beta')."""
     if params.n != enc.sigma.size:
         raise ValidationError(
             f"params.n = {params.n} does not match the source size {enc.sigma.size}")
     derived = derive_params(params, alpha=enc.alpha, m_bits=m_bits)
-    plan = plan_estimate(enc, derived)
-    ledger = QueryLedger()
-    estimates, heavies, lights = [], [], []
-    for k in range(repetitions):
-        rng = np.random.default_rng(seed + k)
-        w_tilde = lightweight(plan, mode, rng, ledger)
-        hv = heavy_entropy(plan, mode, rng, ledger)
-        h_k = max(0.0, hv.h_heavy + w_tilde * math.log2(params.n) / derived.gamma_prime)
-        estimates.append(h_k)
-        heavies.append(hv.h_heavy)
-        lights.append(w_tilde)
-    h_tilde = boost_median(estimates) if repetitions > 1 else estimates[0]
-    return EstimateReport(
-        h_tilde=h_tilde, h_true=h_true, gamma=params.gamma, eps=params.eps,
-        mode=mode, seed=seed, repetitions=repetitions, n=params.n,
-        alpha=enc.alpha, h_heavy=float(np.median(heavies)),
-        w_light=float(np.median(lights)), m_bits=derived.m_bits,
-        gamma_prime=derived.gamma_prime, a=derived.a,
-        deg_pos=derived.poly_pos.degree, deg_neg=derived.poly_neg.degree,
-        ledger=ledger.snapshot(),
-        within_guarantee=check_guarantee(h_tilde, h_true, params.gamma, params.eps),
-        promise_satisfied=h_true >= promise_threshold(params.gamma, params.eps),
-    )
+    # the SVE is charged by each stage of each repetition, not here
+    est = qsve(enc, derived.m_bits)
+    heavy = est >= derived.sqrt_beta_prime
+    p = enc.true_values() ** 2
+    p_heavy, sigma_heavy = p[heavy], enc.sigma[heavy]
+    for arr in (heavy, p_heavy, sigma_heavy):
+        arr.setflags(write=False)
+    return EstimationPlan(
+        enc=enc, h_true=h_true, params=params, derived=derived, heavy_flags=heavy,
+        w_true=float(p[~heavy].sum()), p_heavy=p_heavy, sigma_heavy=sigma_heavy,
+        prep_cost=sve_rounds(enc.alpha, derived.m_bits))
 
 
-def estimate_additive(source, eps_add: float, mode: str = "exact", seed: int = 0,
-                      repetitions: int = 1) -> EstimateReport:
-    """Additive estimation via gamma = 1 + eps_add/log2(n).
+def plan_estimate(source, params: EstimatorParams) -> EstimationPlan:
+    """Plan a multiplicative estimate of a distribution, density matrix, oracle or encoding."""
+    return _plan(*_resolve_encoding(source), params)
+
+
+def estimate_entropy(source, params: EstimatorParams, mode: str = "exact",
+                     seed: int = 0, repetitions: int = 1) -> EstimateReport:
+    """Full estimator: `plan_estimate(source, params).run(mode, seed, repetitions)`."""
+    return plan_estimate(source, params).run(mode, seed, repetitions)
+
+
+def plan_additive(source, eps_add: float) -> EstimationPlan:
+    """Plan an additive estimate via gamma = 1 + eps_add/log2(n).
 
     Uses a deepened split threshold beta' = n^-2 so the light remainder
     (bounded by 2*log2(n)/n) stays inside the additive budget; the heavy
@@ -363,8 +361,17 @@ def estimate_additive(source, eps_add: float, mode: str = "exact", seed: int = 0
         raise ValidationError(f"n must be >= 2, got {n}")
     logn = math.log2(n)
     gamma = 1.0 + eps_add / logn
+    if not (gamma > 1.0 and math.isfinite(gamma * gamma)):
+        raise ValidationError(f"eps_add = {eps_add} at n = {n} gives gamma = 1 + eps_add/log2(n) "
+                              f"= {gamma:.6g}, which must exceed 1 and have a finite square")
     params = EstimatorParams(n=n, gamma=gamma, eps=min(0.5, eps_add / (4.0 * logn)))
-    return _estimate(enc, h_true, params, mode, seed, repetitions, m_bits=math.ceil(logn))
+    return _plan(enc, h_true, params, m_bits=math.ceil(logn))
+
+
+def estimate_additive(source, eps_add: float, mode: str = "exact", seed: int = 0,
+                      repetitions: int = 1) -> EstimateReport:
+    """Additive estimate: `plan_additive(source, eps_add).run(mode, seed, repetitions)`."""
+    return plan_additive(source, eps_add).run(mode, seed, repetitions)
 
 
 @dataclass(frozen=True)
@@ -375,29 +382,39 @@ class ThresholdReport:
     cut: float
     estimate: EstimateReport
 
+    @classmethod
+    def decide(cls, rep: EstimateReport, h_high: float, h_low: float) -> ThresholdReport:
+        """Cut a run of `plan_threshold(source, h_high, h_low, eps)` at sqrt(h_high*h_low)."""
+        cut = math.sqrt(h_high * h_low)
+        return cls(rep.h_tilde > cut, rep.h_tilde, rep.gamma, cut, rep)
+
+
+def plan_threshold(source, h_high: float, h_low: float, eps: float = 0.1) -> EstimationPlan:
+    """Plan the estimate that decides H >= h_high versus H <= h_low.
+
+    gamma = sqrt(h_high/h_low)/(1+2*eps) keeps the (1+2*eps)*gamma window of
+    H >= h_high at or above the cut sqrt(h_high*h_low) and that of H <= h_low
+    at or below it; a gap too small for the slack (gamma <= 1) raises
+    ValidationError.
+    """
+    if not (0.0 < eps < 1.0 and h_high > h_low > 0):
+        raise ValidationError(f"need 0 < eps < 1 and h_high > h_low > 0, got eps = {eps}, "
+                              f"h_high = {h_high}, h_low = {h_low}")
+    gamma = math.sqrt(h_high / h_low) / (1.0 + 2.0 * eps)
+    if not (gamma > 1.0 and math.isfinite(gamma * gamma)):
+        raise ValidationError(f"h_high = {h_high} and h_low = {h_low} at eps = {eps} give gamma = "
+                              f"sqrt(h_high/h_low)/(1+2*eps) = {gamma:.4g}, which must exceed 1 "
+                              "(a gap wider than the guarantee slack) and have a finite square")
+    enc, h_true = _resolve_encoding(source)
+    return _plan(enc, h_true, EstimatorParams(n=enc.sigma.size, gamma=gamma, eps=eps))
+
 
 def entropy_threshold_test(source, h_high: float, h_low: float, eps: float = 0.1,
                            mode: str = "exact", seed: int = 0,
                            repetitions: int = 1) -> ThresholdReport:
-    """Decide H >= h_high versus H <= h_low by cutting an estimate at sqrt(h_high*h_low).
-
-    gamma = sqrt(h_high/h_low)/(1+2*eps) keeps the (1+2*eps)*gamma window of
-    H >= h_high at or above the cut and that of H <= h_low at or below it;
-    a gap too small for the slack (gamma <= 1) raises ValidationError.
-    """
-    if not (h_high > h_low > 0):
-        raise ValidationError("need h_high > h_low > 0")
-    ratio = math.sqrt(h_high / h_low)
-    gamma = ratio / (1.0 + 2.0 * eps)
-    if gamma <= 1.0:
-        raise ValidationError(f"threshold gap too small: sqrt(h_high/h_low) = {ratio:.4g} "
-                              f"must exceed the guarantee slack 1+2*eps = {1.0 + 2.0 * eps:.4g}")
-    enc, h_true = _resolve_encoding(source)
-    params = EstimatorParams(n=enc.sigma.size, gamma=gamma, eps=eps)
-    rep = _estimate(enc, h_true, params, mode, seed, repetitions)
-    cut = math.sqrt(h_high * h_low)
-    return ThresholdReport(high=rep.h_tilde > cut, h_tilde=rep.h_tilde,
-                           gamma=gamma, cut=cut, estimate=rep)
+    """Decide H >= h_high versus H <= h_low: `ThresholdReport.decide` on a plan's run."""
+    rep = plan_threshold(source, h_high, h_low, eps).run(mode, seed, repetitions)
+    return ThresholdReport.decide(rep, h_high, h_low)
 
 
 def total_query_bound(n: int, gamma: float, eps: float, alpha: float = 1.0,

@@ -28,6 +28,7 @@ from qentropy import (
     hellinger,
     high_entropy_distribution,
     lightweight_bounds,
+    plan_estimate,
     projected_encoding_classical,
     projected_encoding_quantum,
     promise_threshold,
@@ -186,12 +187,12 @@ def test_criterion_08_end_to_end_guarantee():
             params = EstimatorParams(n=n, gamma=gamma, eps=0.1)
             target = promise_threshold(gamma, 0.1)
             for i in range(20):
-                p = high_entropy_distribution(n, target, seed=i)
+                # one plan per input; estimate_entropy would re-plan at every seed
+                plan = plan_estimate(high_entropy_distribution(n, target, seed=i), params)
                 for seed in range(5):
-                    rep = estimate_entropy(p, params, mode="bound_only", seed=seed)
+                    rep = plan.run("bound_only", seed)
                     ok = ok and rep.within_guarantee
-                    rep = estimate_entropy(p, params, mode="sampled",
-                                           seed=seed, repetitions=9)
+                    rep = plan.run("sampled", seed, repetitions=9)
                     sampled_total += 1
                     sampled_hits += int(rep.within_guarantee)
     ok = ok and sampled_hits / sampled_total >= 0.95

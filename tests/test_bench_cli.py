@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -21,6 +23,7 @@ from qentropy import (
     spectral_encoding_quantum,
 )
 import qentropy.cli as cli_module
+import qentropy.estimator as estimator_module
 from qentropy.cli import main
 
 
@@ -127,8 +130,14 @@ def gen_specs(draw):
 
 @example(spec="uniform:n=1", task="additive", gamma="2.0", eps="0.1", eps_add="0.5",
          seeds=1, trials=None, mode="ideal")  # eps_add / log2(1) raised ZeroDivisionError
+@example(spec="uniform:n=64", task="additive", gamma="2.0", eps="0.1", eps_add="1e+300",
+         seeds=1, trials=None, mode="ideal")  # named a gamma the command does not take
+@example(spec="uniform:n=64", task="threshold", gamma="6.0", eps="nan", eps_add="0.5",
+         seeds=1, trials=None, mode="ideal")
+@example(spec="uniform:n=64", task="threshold", gamma="inf", eps="0.1", eps_add="0.5",
+         seeds=1, trials=None, mode="ideal")
 @settings(max_examples=50, deadline=None)
-@given(spec=gen_specs(), task=st.sampled_from(["estimate", "additive"]),
+@given(spec=gen_specs(), task=st.sampled_from(["estimate", "additive", "threshold"]),
        gamma=_number(1.01, 6.0), eps=_number(0.01, 0.99), eps_add=_number(0.25, 4.0),
        seeds=st.integers(-2, 2), trials=st.one_of(st.none(), st.integers(-1, 2)),
        mode=st.sampled_from(["ideal", "bound", "sampled"]))
@@ -136,15 +145,21 @@ def test_cli_input_errors_exit_2(spec, task, gamma, eps, eps_add, seeds, trials,
     # every run either succeeds or rejects its input with exit code 2; any other
     # exception is a traceback the boundary checks let through
     argv = [task, "--gen", spec, "--mode", mode, f"--seeds={seeds}", "--out", os.devnull]
-    # --name=value, since argparse reads a lone "-inf" as an unknown flag
-    argv += ([f"--gamma={gamma}", f"--eps={eps}"] if task == "estimate"
-             else [f"--eps-add={eps_add}"])
+    # --name=value, since argparse reads a lone "-inf" as an unknown flag; threshold
+    # takes `gamma` as its --high, against --low 1
+    argv += {"estimate": [f"--gamma={gamma}", f"--eps={eps}"],
+             "additive": [f"--eps-add={eps_add}"],
+             "threshold": [f"--high={gamma}", "--low=1", f"--eps={eps}"]}[task]
     if trials is not None:
         argv += [f"--trials={trials}"]
+    err = io.StringIO()
     try:
-        assert run_cli(argv) in (0, 2)
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv) in (0, 2)
     except SystemExit as exc:
         assert exc.code == 2
+    if task != "estimate":  # the gamma of these commands is derived, so no error names it alone
+        assert "error: gamma must exceed 1" not in err.getvalue()
 
 
 def _reject_constant(name):
@@ -249,6 +264,17 @@ def test_cli_invalid_args_exit_2(tmp_path, capsys):
               "--eta", "0.8"], "eps = 0.3, eta = 0.8"),
             (["lowerbound", "--kind", "collision", "--n", "64", "--param", "nan"], "gamma"),
             (["additive", "--gen", "uniform:n=64", "--eps-add", "nan"], "eps_add"),
+            # additive and threshold derive gamma from what they are given, and name
+            # that: these four once named "gamma = nan", "gamma = inf", a gamma near
+            # 1.7e299 and "gamma = 1.0", and --eps -0.5 divided by zero
+            (["additive", "--gen", "uniform:n=64", "--eps-add", "1e300"], "eps_add = 1e+300"),
+            (["additive", "--gen", "uniform:n=64", "--eps-add", "1e-300"], "eps_add = 1e-300"),
+            (["threshold", "--gen", "uniform:n=64", "--high", "6", "--low", "3", "--eps", "nan"],
+             "eps = nan"),
+            (["threshold", "--gen", "uniform:n=64", "--high", "inf", "--low", "3"],
+             "h_high = inf"),
+            (["threshold", "--gen", "uniform:n=64", "--high", "6", "--low", "3", "--eps", "-0.5"],
+             "eps = -0.5"),
             (["sweep", "--n-list", "64,128,256", "--gamma", "2", "--exclude-smallest", "-2"],
              "exclude_smallest")):
         assert run_cli([*argv, "--out", str(tmp_path / "w.out")]) == 2, argv
@@ -337,6 +363,33 @@ def test_cli_reads_input_file_once(tmp_path, monkeypatch):
                     "--out", str(out)]) == 0
     assert calls == [str(path)]
     assert [json.loads(line)["seed"] for line in out.read_text().splitlines()] == [0, 1, 2]
+
+    # each source is resolved, derived and planned once per run, unless the
+    # generator reads the seed: dirichlet without seed= is a new input at each seed
+    derived = []
+    derive_params = estimator_module.derive_params
+
+    def counting_derive(*args, **kwargs):
+        derived.append(args)
+        return derive_params(*args, **kwargs)
+
+    monkeypatch.setattr(estimator_module, "derive_params", counting_derive)
+    flags = {"estimate": ["--gamma", "1.5"], "additive": ["--eps-add", "0.5"],
+             "threshold": ["--high", "3", "--low", "1"]}
+    sources = ((["--input", str(path)], 1), (["--gen", "zipf:n=256"], 1),
+               (["--gen", "dirichlet:n=64"], 4), (["--gen", "dirichlet:n=64,seed=2"], 1))
+    for task, task_flags in flags.items():
+        for source, plans in sources:
+            argv = [task, *source, *task_flags, "--mode", "sampled", "--repetitions", "3",
+                    "--out", str(out)]
+            derived.clear()
+            assert run_cli([*argv, "--seeds", "4"]) == 0
+            assert len(derived) == plans, (task, source)
+            records = out.read_text().splitlines()
+            # the same records as one run per seed
+            for seed in range(4):
+                assert run_cli([*argv, "--seeds", str(seed), "--trials", "1"]) == 0
+                assert out.read_text().splitlines() == [records[seed]], (task, source, seed)
 
 
 def test_cli_config_file(tmp_path):

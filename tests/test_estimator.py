@@ -17,6 +17,8 @@ from qentropy import (
     entropy_threshold_test,
     estimate_additive,
     estimate_entropy,
+    plan_additive,
+    plan_estimate,
     promise_threshold,
     round_to_grid,
     shannon_entropy,
@@ -199,7 +201,8 @@ def _params(n):
     return EstimatorParams(n=n, gamma=1.5, eps=0.1)
 
 
-# (call, (h_tilde, uses_U, controlled_U, extra_gates, deg_pos, deg_neg)), recorded
+# (source, params or eps_add, mode, seed, repetitions,
+#  (h_tilde, uses_U, controlled_U, extra_gates, deg_pos, deg_neg)), recorded
 # before the estimator planned once per call: planning must not change a bit.
 # h_tilde was re-recorded for density32, dense_oracle8 and statevector_qpe8 when
 # sampled QAE became an exact rejection draw and polynomials a blocked evaluation.
@@ -207,36 +210,41 @@ def _params(n):
 # alpha = 1 its estimates equal the grid rounding, so its values stand.
 GOLDEN = {
     "zipf4096_sampled": (
-        lambda: estimate_entropy(Distribution.zipf(4096, 1.0), _params(4096),
-                                 mode="sampled", seed=3, repetitions=9),
+        lambda: Distribution.zipf(4096, 1.0), _params(4096), "sampled", 3, 9,
         (7.074635409736536, 19667349, 18, 7047, 126, 135)),
     "density32": (
-        lambda: estimate_entropy(DensityMatrix.random(32, np.random.default_rng(4)),
-                                 _params(32), mode="sampled", seed=1, repetitions=3),
+        lambda: DensityMatrix.random(32, np.random.default_rng(4)), _params(32), "sampled", 1, 3,
         (4.100125660740255, 5573568, 6, 2727, 146, 157)),
     "additive_zipf256": (
-        lambda: estimate_additive(Distribution.zipf(256, 1.0), 0.25, mode="sampled", seed=2),
+        lambda: Distribution.zipf(256, 1.0), 0.25, "sampled", 2, 1,
         (6.221401425857255, 22456644258, 2, 25437, 4232, 4247)),
     "dense_oracle8": (
-        lambda: estimate_entropy(
-            build_purified_oracle_classical(Distribution.dirichlet(8, np.random.default_rng(5))),
-            _params(8), mode="bound_only", seed=6, repetitions=3),
+        lambda: build_purified_oracle_classical(Distribution.dirichlet(8, np.random.default_rng(5))),
+        _params(8), "bound_only", 6, 3,
         (2.4276449966375457, 191520, 6, 171, 9, 10)),
     "statevector_qpe8": (
-        lambda: estimate_entropy(Distribution.dirichlet(8, np.random.default_rng(7)), _params(8),
-                                 mode="sampled", seed=8, repetitions=3),
+        lambda: Distribution.dirichlet(8, np.random.default_rng(7)), _params(8), "sampled", 8, 3,
         (2.197063293321409, 191520, 6, 171, 9, 10)),
 }
+# (planner, entry point) for a multiplicative (EstimatorParams) or additive (eps_add) golden
+GOLDEN_CALLS = {EstimatorParams: (plan_estimate, estimate_entropy),
+                float: (plan_additive, estimate_additive)}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_estimates_and_ledgers_match_recorded_values(name):
-    call, (h_tilde, uses, controlled, extra, deg_pos, deg_neg) = GOLDEN[name]
-    rep = call()
-    assert rep.h_tilde == h_tilde
-    assert rep.ledger == {"uses_U": uses, "uses_U_dagger": uses, "controlled_U": controlled,
-                          "extra_gates": extra, "total_queries": 2 * uses}
-    assert (rep.deg_pos, rep.deg_neg) == (deg_pos, deg_neg)
+    make_source, arg, mode, seed, repetitions, golden = GOLDEN[name]
+    h_tilde, uses, controlled, extra, deg_pos, deg_neg = golden
+    plan, estimate = GOLDEN_CALLS[type(arg)]
+    source = make_source()
+    planned = plan(source, arg)
+    planned.run(mode, seed + 2, repetitions)  # a plan keeps nothing from one run to the next
+    for rep in (planned.run(mode, seed, repetitions),
+                estimate(source, arg, mode=mode, seed=seed, repetitions=repetitions)):
+        assert rep.h_tilde == h_tilde
+        assert rep.ledger == {"uses_U": uses, "uses_U_dagger": uses, "controlled_U": controlled,
+                              "extra_gates": extra, "total_queries": 2 * uses}
+        assert (rep.deg_pos, rep.deg_neg) == (deg_pos, deg_neg)
 
 
 def test_heavy_stage_evaluates_polynomials_only_at_heavy_labels(monkeypatch):

@@ -167,11 +167,17 @@ def test_tail_bound_and_builder_scale_cover_the_grid_measurements():
         assert rep.max_abs <= 1.0 + 1e-12, (poly.degree, poly.sign, rep)
 
 
-def _horner_out_of_place(poly, x):
-    y = np.abs(x) - 1.0
-    acc = np.full_like(y, poly.coeffs[poly.degree])
+def _horner_long_double(poly, x):
+    # the reference must be accurate well inside the tolerance: float64 Horner
+    # errs by up to 2 * degree ulps of sum |c_k| (7.2e-14 at x = 0 for the
+    # degree-2,606 example below, against a tolerance of 1.42e-14), while the
+    # 64-bit significand of np.longdouble keeps it 2^11 times smaller
+    y = np.abs(x).astype(np.longdouble) - 1
+    coeffs = poly.coeffs.astype(np.longdouble)
+    acc = np.full_like(y, coeffs[poly.degree])
     for k in range(poly.degree - 1, -1, -1):
-        acc = acc * y + poly.coeffs[k]
+        acc *= y
+        acc += coeffs[k]
     return acc
 
 
@@ -191,7 +197,7 @@ def _assert_matches_horner(poly, x):
         got = poly(x)
     # blocked evaluation sums in another order: allow 64 ulps of sum |c_k|
     tol = 64 * np.finfo(float).eps * np.abs(poly.coeffs).sum()
-    assert np.max(np.abs(got - _horner_out_of_place(poly, x))) <= tol
+    assert np.max(np.abs(got - _horner_long_double(poly, x))) <= tol
 
 
 # degrees 15, 16 and 17 sit around a block width squared (b = 4, b^2 = 16)
@@ -226,6 +232,7 @@ def test_blocked_evaluation_matches_horner_on_additive_certify_grid():
 @given(c=st.floats(0.01, 1.0), delta=st.floats(1.5e-3, 0.5), log_eps=st.floats(-12.0, -2.0),
        build=st.sampled_from([taylor_poly_pos, taylor_poly_neg]))
 @example(c=0.99, delta=1.5e-3, log_eps=-12.0, build=taylor_poly_neg)  # degree 17,919, b = 133
+@example(c=1.0, delta=1.5e-3, log_eps=-2.0, build=taylor_poly_neg)  # degree 2,606, see above
 def test_blocked_evaluation_matches_horner_without_underflow(c, delta, log_eps, build):
     # degrees up to about 18k, so some block widths exceed 128 and take MIN_ROWS points
     poly = build(c, delta, 10.0**log_eps)
