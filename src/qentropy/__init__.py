@@ -53,6 +53,7 @@ from .qsub import (
     qsve,
     qsvt_apply,
     round_to_grid,
+    sve_heavy,
 )
 from .estimator import (
     DerivedParams,

@@ -243,8 +243,10 @@ class DensityMatrix:
 def shannon_entropy(p: Distribution | np.ndarray) -> float:
     """Shannon entropy in bits, H(p) = -sum p_i log2 p_i, with 0 log 0 = 0."""
     v = p.probs if isinstance(p, Distribution) else np.asarray(p, dtype=float)
-    nz = v[v > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    nz = v if v.size and v.min() > 0 else v[v > 0]  # gather only if some p_i <= 0
+    terms = np.log2(nz)
+    terms *= nz
+    return float(-terms.sum())
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

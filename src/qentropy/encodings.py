@@ -271,14 +271,18 @@ def swap_encoding_dense_unitary(oracle: PurifiedOracle) -> np.ndarray:
 
 def spectral_encoding_classical(p: Distribution) -> ProjectedUnitaryEncoding:
     """Spectral shortcut: classical encoding without dense matrices."""
-    return ProjectedUnitaryEncoding(sigma=np.sort(np.sqrt(p.probs))[::-1], alpha=1.0)
+    sigma = np.sqrt(p.probs)
+    sigma.sort()  # in place: np.sort would copy
+    return ProjectedUnitaryEncoding(sigma=sigma[::-1], alpha=1.0)
 
 
 def spectral_encoding_quantum(spectrum: Distribution) -> ProjectedUnitaryEncoding:
     """Spectral shortcut for purified quantum access: sigma = sqrt(p_i / n)."""
     n = spectrum.n
-    return ProjectedUnitaryEncoding(
-        sigma=np.sort(np.sqrt(spectrum.probs / n))[::-1], alpha=math.sqrt(n))
+    sigma = spectrum.probs / n
+    np.sqrt(sigma, out=sigma)
+    sigma.sort()
+    return ProjectedUnitaryEncoding(sigma=sigma[::-1], alpha=math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ from .qsub import (
     QueryLedger,
     boost_median,
     qae,
-    qsve,
     qsvt_apply,
+    sve_heavy,
     sve_rounds,
 )
 
@@ -248,8 +248,9 @@ def _resolve_encoding(source):
             h = shannon_entropy(red / red.sum())
         return enc, h
     if isinstance(source, ProjectedUnitaryEncoding):
-        p = source.true_values() ** 2
-        return source, shannon_entropy(p / p.sum())
+        p = np.square(source.true_values())
+        p /= p.sum()
+        return source, shannon_entropy(p)
     raise ValidationError(f"cannot interpret source of type {type(source).__name__}")
 
 
@@ -269,7 +270,13 @@ class EstimationPlan:
     """The seed-independent part of an estimate: the encoding, its true entropy,
     the derived parameters and the light/heavy split of one singular value
     estimation.  The polynomials act on `sigma_heavy`, at most 1/beta' values,
-    not n.  The arrays are read-only and `run` keeps no state between seeds."""
+    not n.  The arrays are read-only and `run` keeps no state between seeds.
+
+    A label is heavy when its SVE estimate, alpha*sigma rounded to the 2^-m
+    grid, reaches sqrt(beta') = 2^-m.  The planner decides that with
+    `sve_heavy`, one comparison per label, and squares only the heavy values
+    into `p_heavy` and the light ones, in place, into `w_true`: no rounded
+    or full-length squared array is built."""
 
     enc: ProjectedUnitaryEncoding
     h_true: float
@@ -323,16 +330,26 @@ def _plan(enc: ProjectedUnitaryEncoding, h_true: float, params: EstimatorParams,
             f"params.n = {params.n} does not match the source size {enc.sigma.size}")
     derived = derive_params(params, alpha=enc.alpha, m_bits=m_bits)
     # the SVE is charged by each stage of each repetition, not here
-    est = qsve(enc, derived.m_bits)
-    heavy = est >= derived.sqrt_beta_prime
-    p = enc.true_values() ** 2
-    p_heavy, sigma_heavy = p[heavy], enc.sigma[heavy]
+    t = enc.true_values()
+    heavy = sve_heavy(t, derived.m_bits)
+    p_heavy, sigma_heavy = np.square(t[heavy]), enc.sigma[heavy]
+    light = t[~heavy]
+    np.square(light, out=light)
     for arr in (heavy, p_heavy, sigma_heavy):
         arr.setflags(write=False)
     return EstimationPlan(
         enc=enc, h_true=h_true, params=params, derived=derived, heavy_flags=heavy,
-        w_true=float(p[~heavy].sum()), p_heavy=p_heavy, sigma_heavy=sigma_heavy,
+        w_true=float(light.sum()), p_heavy=p_heavy, sigma_heavy=sigma_heavy,
         prep_cost=sve_rounds(enc.alpha, derived.m_bits))
+
+
+def _plan_given(given: str, enc: ProjectedUnitaryEncoding, h_true: float,
+                params: EstimatorParams, m_bits: int | None = None) -> EstimationPlan:
+    """`_plan`, whose errors lead with `given`: the caller's values that set `params`."""
+    try:
+        return _plan(enc, h_true, params, m_bits)
+    except ValidationError as err:
+        raise ValidationError(f"{given}, and {err}") from err
 
 
 def plan_estimate(source, params: EstimatorParams) -> EstimationPlan:
@@ -361,11 +378,11 @@ def plan_additive(source, eps_add: float) -> EstimationPlan:
         raise ValidationError(f"n must be >= 2, got {n}")
     logn = math.log2(n)
     gamma = 1.0 + eps_add / logn
+    given = f"eps_add = {eps_add} at n = {n} gives gamma = 1 + eps_add/log2(n) = {gamma!r}"
     if not (gamma > 1.0 and math.isfinite(gamma * gamma)):
-        raise ValidationError(f"eps_add = {eps_add} at n = {n} gives gamma = 1 + eps_add/log2(n) "
-                              f"= {gamma:.6g}, which must exceed 1 and have a finite square")
+        raise ValidationError(f"{given}, which must exceed 1 and have a finite square")
     params = EstimatorParams(n=n, gamma=gamma, eps=min(0.5, eps_add / (4.0 * logn)))
-    return _plan(enc, h_true, params, m_bits=math.ceil(logn))
+    return _plan_given(given, enc, h_true, params, m_bits=math.ceil(logn))
 
 
 def estimate_additive(source, eps_add: float, mode: str = "exact", seed: int = 0,
@@ -401,12 +418,13 @@ def plan_threshold(source, h_high: float, h_low: float, eps: float = 0.1) -> Est
         raise ValidationError(f"need 0 < eps < 1 and h_high > h_low > 0, got eps = {eps}, "
                               f"h_high = {h_high}, h_low = {h_low}")
     gamma = math.sqrt(h_high / h_low) / (1.0 + 2.0 * eps)
+    given = (f"h_high = {h_high} and h_low = {h_low} at eps = {eps} give gamma = "
+             f"sqrt(h_high/h_low)/(1+2*eps) = {gamma:.4g}")
     if not (gamma > 1.0 and math.isfinite(gamma * gamma)):
-        raise ValidationError(f"h_high = {h_high} and h_low = {h_low} at eps = {eps} give gamma = "
-                              f"sqrt(h_high/h_low)/(1+2*eps) = {gamma:.4g}, which must exceed 1 "
-                              "(a gap wider than the guarantee slack) and have a finite square")
+        raise ValidationError(f"{given}, which must exceed 1 (a gap wider than the guarantee "
+                              "slack) and have a finite square")
     enc, h_true = _resolve_encoding(source)
-    return _plan(enc, h_true, EstimatorParams(n=enc.sigma.size, gamma=gamma, eps=eps))
+    return _plan_given(given, enc, h_true, EstimatorParams(n=enc.sigma.size, gamma=gamma, eps=eps))
 
 
 def entropy_threshold_test(source, h_high: float, h_low: float, eps: float = 0.1,

@@ -1,7 +1,9 @@
 """Simulated quantum subroutines with query accounting.
 
 Singular value estimation (the most likely outcome of phase estimation: the
-exact value rounded to the 2^-m grid), singular value transformation
+exact value rounded to the 2^-m grid; the estimator's light/heavy split reads
+only whether that rounding reaches 2^-m, which `sve_heavy` decides with one
+comparison per value and no rounded array), singular value transformation
 (matrix-function semantics), and amplitude estimation (exact value, adversarial
 within-bound perturbation, or one exact draw from the phase-estimation outcome
 distribution, made by rejection in O(1) time rather than by building all M
@@ -75,6 +77,19 @@ def round_to_grid(values: np.ndarray, m_bits: int) -> np.ndarray:
     ties = (v + 0.5) == idx  # v sits exactly half-way below idx
     idx = np.where(ties, idx - 1.0, idx)
     return np.clip(idx * step, 0.0, 1.0)
+
+
+def sve_heavy(values: np.ndarray, m_bits: int) -> np.ndarray:
+    """`round_to_grid(values, m_bits) >= 2^-m` in one comparison, without rounding.
+
+    Scaled by 2^m, a value v rounds to at least one grid step exactly when
+    fl(v + 0.5) > 1.  The smallest double above 1/2, v = 1/2 + 2^-53, sums
+    to the tie 1 + 2^-53, which rounds to even (1) and then toward zero; the
+    next one sums to 1 + 2^-52.  So the cut is v > 1/2 + 2^-53, and scaling
+    by a power of two keeps it exact while the cut is a normal double
+    (m_bits <= 1021).  NaN and negative values are light.
+    """
+    return np.asarray(values, dtype=float) > (0.5 + 2.0**-53) * 2.0**-m_bits
 
 
 def qsve(enc: ProjectedUnitaryEncoding, m_bits: int) -> np.ndarray:

@@ -275,6 +275,12 @@ def test_cli_invalid_args_exit_2(tmp_path, capsys):
              "h_high = inf"),
             (["threshold", "--gen", "uniform:n=64", "--high", "6", "--low", "3", "--eps", "-0.5"],
              "eps = -0.5"),
+            # a gap or a precision that cannot be planned at this n is refused by the
+            # values given: these once named only "gamma=8.333333333333334" and
+            # "the degree-4018 polynomial"
+            (["threshold", "--gen", "uniform:n=4", "--high", "100", "--low", "1"],
+             "h_high = 100.0 and h_low = 1.0 at eps = 0.1"),
+            (["additive", "--gen", "uniform:n=64", "--eps-add", "1e-12"], "eps_add = 1e-12 at n = 64"),
             (["sweep", "--n-list", "64,128,256", "--gamma", "2", "--exclude-smallest", "-2"],
              "exclude_smallest")):
         assert run_cli([*argv, "--out", str(tmp_path / "w.out")]) == 2, argv

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qentropy import (
     EstimatorParams,
     ValidationError,
     build_purified_oracle_classical,
+    build_purified_oracle_quantum,
     check_guarantee,
     derive_params,
     entropy_threshold_test,
@@ -20,6 +22,7 @@ from qentropy import (
     plan_additive,
     plan_estimate,
     promise_threshold,
+    qsve,
     round_to_grid,
     shannon_entropy,
     total_query_bound,
@@ -267,6 +270,50 @@ def test_heavy_stage_evaluates_polynomials_only_at_heavy_labels(monkeypatch):
     assert len(seen) == 2 * repetitions
     for evaluated in seen:
         np.testing.assert_array_equal(evaluated, heavy)
+
+
+def _permuted_zipf(n, seed):
+    probs = Distribution.zipf(n, 1.0).probs
+    return Distribution(probs[np.random.default_rng([seed, 0]).permutation(n)])
+
+
+# the benchmark's four workload inputs at seed 0: (source, params or eps_add)
+WORKLOAD_PLANS = {
+    "mult_zipf_large": (lambda: _permuted_zipf(2**18, 0), _params(2**18)),
+    "additive_zipf": (lambda: _permuted_zipf(4096, 0), 0.25),
+    "vn_spectral": (lambda: DensityMatrix.random(1024, np.random.default_rng([0, 0]), 4.0),
+                    _params(1024)),
+    "oracle_dense": (lambda: build_purified_oracle_quantum(
+        DensityMatrix.random(64, np.random.default_rng([0, 0]))), _params(64)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_PLANS) + sorted(GOLDEN))
+def test_split_matches_the_rounded_sve_bit_for_bit(name):
+    make_source, arg = (GOLDEN[name] if name in GOLDEN else WORKLOAD_PLANS[name])[:2]
+    plan = GOLDEN_CALLS[type(arg)][0](make_source(), arg)
+    # the reference: round every value to the SVE grid, square them all
+    heavy = qsve(plan.enc, plan.derived.m_bits) >= plan.derived.sqrt_beta_prime
+    p = plan.enc.true_values() ** 2
+    assert plan.heavy_flags.tobytes() == heavy.tobytes()
+    assert plan.p_heavy.tobytes() == p[heavy].tobytes()
+    assert plan.sigma_heavy.tobytes() == plan.enc.sigma[heavy].tobytes()
+    assert plan.w_true.hex() == float(p[~heavy].sum()).hex()
+
+
+def test_plan_holds_about_three_arrays_of_length_n():
+    # sigma, the true values and the light ones: the split builds no rounded
+    # or squared array of length n
+    n = 2**18
+    p, params = _permuted_zipf(n, 0), _params(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plan_estimate(p, params)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * n, peak / (8 * n)
 
 
 def test_certified_error_over_budget_is_rejected(monkeypatch):

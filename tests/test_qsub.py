@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qentropy import (
     Distribution,
@@ -17,6 +18,7 @@ from qentropy import (
     qsve,
     qsvt_apply,
     round_to_grid,
+    sve_heavy,
     M_for_precision,
 )
 from qentropy.logapprox import taylor_poly_pos
@@ -32,6 +34,38 @@ def test_round_to_grid_ties_toward_zero():
     # grid spacing 0.25 at m = 2; 0.375 sits exactly between 0.25 and 0.5
     got = round_to_grid(np.array([0.0, 0.375, 0.4, 0.625, 1.0]), 2)
     assert np.allclose(got, [0.0, 0.25, 0.5, 0.5, 1.0])
+
+
+# values every split must agree on whatever m is: signed zeros, negatives,
+# subnormals, NaN, infinities and values at or above 1
+SPLIT_SPECIALS = (0.0, -0.0, -0.25, -5e-324, 5e-324, 1e-310, 2.2250738585072014e-308,
+                  np.nan, np.inf, -np.inf, 1.0, np.nextafter(1.0, 2.0), 1.5, 1e300, 1.7e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 60), data=st.data())
+def test_sve_heavy_is_the_rounded_split(m, data):
+    # k * 2^-m + 2^-(m+1) is a double only while 2k + 1 < 2^53
+    k = data.draw(st.one_of(st.integers(0, 2), st.integers(0, min(2**m, 2**52) - 1)))
+    half_ways = np.array([(2 * k + 1) * 2.0 ** -(m + 1), 2.0 ** -(m + 1)])
+    above = np.nextafter(half_ways, np.inf)
+    values = np.concatenate((half_ways, above, np.nextafter(above, np.inf),
+                             np.nextafter(half_ways, -np.inf), SPLIT_SPECIALS,
+                             data.draw(st.lists(st.floats(), max_size=8))))
+    with np.errstate(over="ignore"):
+        want = round_to_grid(values, m) >= 2.0**-m
+    np.testing.assert_array_equal(sve_heavy(values, m), want)
+
+
+def test_sve_heavy_cut_is_the_first_half_way_point():
+    # ties go toward zero: the half-way point 2^-(m+1) and the double above it
+    # are light, the next double is the first heavy one
+    for m in range(1, 61):
+        half = 2.0 ** -(m + 1)
+        above = np.nextafter(half, 1.0)
+        values = np.array([half, above, np.nextafter(above, 1.0)])
+        np.testing.assert_array_equal(sve_heavy(values, m), [False, False, True])
+        np.testing.assert_array_equal(round_to_grid(values, m) > 0, [False, False, True])
 
 
 def test_qsve_ideal_contract():
