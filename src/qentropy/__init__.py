@@ -45,7 +45,6 @@ from .encodings import (
 )
 from .qsub import (
     M_for_precision,
-    QueryLedger,
     boost_median,
     qae,
     qae_error_bound,
@@ -72,6 +71,7 @@ from .estimator import (
     plan_estimate,
     plan_threshold,
     promise_threshold,
+    query_ledger,
     total_query_bound,
 )
 from .bench import (

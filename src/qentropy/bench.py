@@ -1,8 +1,9 @@
 """Benchmark harness: classical baseline, query-scaling sweeps, hard-instance demos.
 
-Sweeps read the ledger that `estimate_entropy` charges in exact mode.  That
-ledger depends only on (n, gamma, eps, alpha), not on the input, so each
-size runs on the uniform distribution and the fits are deterministic.
+Sweeps read `query_ledger`, the closed form that every estimate reports as
+its ledger.  It depends only on the derived parameters of (n, gamma, eps,
+alpha), not on the input, so a sweep builds no length-n array: its size is
+capped by what `derive_params` can certify, not by memory.
 """
 from __future__ import annotations
 
@@ -19,10 +20,11 @@ from .dists import (
     gen_lower_bound_pair,
     shannon_entropy,
 )
-from .encodings import spectral_encoding_classical, spectral_encoding_quantum
 from .estimator import (
     EstimatorParams,
+    derive_params,
     estimate_entropy,
+    query_ledger,
     total_query_bound,
 )
 
@@ -67,9 +69,9 @@ def query_scaling_sweep(n_list, gamma: float, eps: float, quantum: bool = False,
                         tolerance: float = 0.1) -> SweepResult:
     """Fit the scaling exponent of query totals against the predicted rate.
 
-    Each size's total is the ledger of one exact-mode `estimate_entropy` run
-    on the uniform distribution, through the classical spectral encoding
-    (alpha 1) or the quantum one (alpha sqrt(n)).  Fits the least-squares
+    Each size's total is `query_ledger` of its derived parameters, the ledger
+    of one run on any input of that size through the classical spectral
+    encoding (alpha 1) or the quantum one (alpha sqrt(n)).  Fits the least-squares
     slope of log2(queries / log2(n)^2) versus log2(n), excluding the
     `exclude_smallest` smallest sizes, and compares against 1/(2 gamma^2)
     classically or 1/2 + 1/(2 gamma^2) for quantum (diagonal) inputs,
@@ -81,12 +83,14 @@ def query_scaling_sweep(n_list, gamma: float, eps: float, quantum: bool = False,
     if len(ns) - exclude_smallest < 3:
         raise ValidationError("need at least 3 sizes after exclusion for the fit")
     rows = []
-    encode = spectral_encoding_quantum if quantum else spectral_encoding_classical
     for n in ns:
-        enc = encode(Distribution.uniform(n))
-        params = EstimatorParams(n=n, gamma=gamma, eps=eps)
-        q = estimate_entropy(enc, params, mode="exact").ledger["total_queries"]
-        b = total_query_bound(n, gamma, eps, enc.alpha)
+        alpha = math.sqrt(n) if quantum else 1.0
+        try:
+            derived = derive_params(EstimatorParams(n=n, gamma=gamma, eps=eps), alpha)
+        except ValidationError as err:
+            raise ValidationError(f"at n = {n}, {err}") from err
+        q = query_ledger(derived)["total_queries"]
+        b = total_query_bound(n, gamma, eps, alpha)
         rows.append(SweepRow(n=n, queries=q, bound=b, within_bound=q <= b))
     xs = np.array([math.log2(r.n) for r in rows[exclude_smallest:]])
     ys = np.array([math.log2(r.queries / math.log2(r.n) ** 2)

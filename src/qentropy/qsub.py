@@ -1,4 +1,4 @@
-"""Simulated quantum subroutines with query accounting.
+"""Simulated quantum subroutines and the oracle uses they cost.
 
 Singular value estimation (the most likely outcome of phase estimation: the
 exact value rounded to the 2^-m grid; the estimator's light/heavy split reads
@@ -7,14 +7,12 @@ comparison per value and no rounded array), singular value transformation
 (matrix-function semantics), and amplitude estimation (exact value, adversarial
 within-bound perturbation, or one exact draw from the phase-estimation outcome
 distribution, made by rejection in O(1) time rather than by building all M
-outcomes).  Each takes and returns plain arrays and floats.  QSVT and QAE
-charge a shared query ledger; SVE is charged by the estimator stages that use
-it, through `QueryLedger.charge_sve`.
+outcomes).  Each takes and returns plain arrays and floats; what a run of
+them costs is `estimator.query_ledger`, a closed form of its parameters.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,39 +28,6 @@ ANCILLAS = 2                   # ancilla qubits of every projected unitary encod
 def sve_rounds(alpha: float, m_bits: int) -> int:
     """Oracle uses (of U, and again of U-dagger) of one m-bit singular value estimation."""
     return math.ceil(alpha * SVE_ROUNDS_FACTOR * 2**m_bits)
-
-
-@dataclass
-class QueryLedger:
-    """Running account of oracle uses and auxiliary gate costs."""
-
-    uses_U: int = 0
-    uses_U_dagger: int = 0
-    controlled_U: int = 0
-    extra_gates: int = 0
-
-    def charge_sve(self, alpha: float, m_bits: int):
-        rounds = sve_rounds(alpha, m_bits)
-        self.uses_U += rounds
-        self.uses_U_dagger += rounds
-
-    def charge_svt(self, degree: int):
-        self.uses_U += degree
-        self.uses_U_dagger += degree
-        self.controlled_U += 1
-        self.extra_gates += (ANCILLAS + 1) * degree
-
-    def total_queries(self) -> int:
-        return self.uses_U + self.uses_U_dagger
-
-    def snapshot(self) -> dict:
-        return {
-            "uses_U": self.uses_U,
-            "uses_U_dagger": self.uses_U_dagger,
-            "controlled_U": self.controlled_U,
-            "extra_gates": self.extra_gates,
-            "total_queries": self.total_queries(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +64,9 @@ def qsve(enc: ProjectedUnitaryEncoding, m_bits: int) -> np.ndarray:
     rounded to the 2^-m grid (ties toward zero), so every estimate is within
     2^-(m+1) of the truth.  That is the most likely outcome of 2^(m+1)-point
     phase estimation on the eigenphase alpha*sigma/2, which the tests check
-    against `_phase_estimation`; the ledger charges ceil(alpha * 2^(m+1))
-    rounds, enough to resolve alpha*sigma to that grid's spacing.  Charges
-    nothing: each stage that uses an SVE charges its own ledger.
+    against `_phase_estimation`; it costs `sve_rounds(alpha, m)` =
+    ceil(alpha * 2^(m+1)) rounds, enough to resolve alpha*sigma to that grid's
+    spacing.
     """
     if m_bits < 1:
         raise ValidationError("m_bits must be >= 1")
@@ -112,9 +77,8 @@ def qsve(enc: ProjectedUnitaryEncoding, m_bits: int) -> np.ndarray:
 # Singular value transformation
 # ---------------------------------------------------------------------------
 
-def qsvt_apply(sigma: np.ndarray, poly: TaylorPolynomial, ledger: QueryLedger) -> np.ndarray:
+def qsvt_apply(sigma: np.ndarray, poly: TaylorPolynomial) -> np.ndarray:
     """Transformed singular values |poly(sigma)| of an encoding with singular values sigma."""
-    ledger.charge_svt(poly.degree)
     return np.abs(poly(sigma))
 
 
@@ -217,8 +181,7 @@ def qae_outcome_distribution(p: float, rounds: int) -> tuple[np.ndarray, np.ndar
     return _phase_estimation(_qae_phase(p), rounds)
 
 
-def qae(p: float, rounds: int, mode: str, rng: np.random.Generator,
-        ledger: QueryLedger, prep_cost_U: int = 1) -> float:
+def qae(p: float, rounds: int, mode: str, rng: np.random.Generator) -> float:
     """Estimate amplitude p with M Grover rounds.
 
     exact: returns p itself.  bound_only: seeded uniform perturbation within
@@ -226,16 +189,11 @@ def qae(p: float, rounds: int, mode: str, rng: np.random.Generator,
     from the M-round phase-estimation outcome distribution, made in O(1)
     time by `_draw_phase_estimation`; the returned value sin^2(pi j / M) is
     computed as in `qae_outcome_distribution`.
-
-    Each round costs one preparation and one inverse preparation, each of
-    which is `prep_cost_U` oracle uses.
     """
     if not (0.0 <= p <= 1.0):
         raise ValidationError("amplitude must be in [0, 1]")
     if rounds < 1:
         raise ValidationError("rounds must be >= 1")
-    ledger.uses_U += rounds * prep_cost_U
-    ledger.uses_U_dagger += rounds * prep_cost_U
     if mode == "exact":
         return p
     if mode == "bound_only":

@@ -12,7 +12,6 @@ from qentropy import (
     DensityMatrix,
     Distribution,
     EstimatorParams,
-    QueryLedger,
     block_encoding_density_swap,
     build_purified_oracle_classical,
     build_purified_oracle_quantum,
@@ -173,7 +172,7 @@ def test_criterion_07_qae_coverage():
         for m in (16, 64, 256):
             bound = qae_error_bound(p, m)
             hits = sum(
-                abs(qae(p, m, "sampled", rng, QueryLedger()) - p) <= bound
+                abs(qae(p, m, "sampled", rng) - p) <= bound
                 for _ in range(1000))
             ok = ok and hits / 1000.0 >= floor
     report(7, ok, "sampled amplitude estimation hits its error bound at the 8/pi^2 rate")
@@ -222,7 +221,7 @@ def test_criterion_10_query_scaling():
             ok = ok and res.passed
             ok = ok and abs(res.slope - res.target) <= res.tolerance
             ok = ok and all(r.within_bound for r in res.rows)
-    report(10, ok, "query totals charged by exact-mode runs scale with the "
+    report(10, ok, "the query totals that runs report scale with the "
                    "advertised exponents and stay under the closed-form bound")
 
 

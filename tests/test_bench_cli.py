@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +14,15 @@ from qentropy import (
     Distribution,
     EstimatorParams,
     ValidationError,
+    build_purified_oracle_classical,
+    build_purified_oracle_quantum,
     classical_baseline,
+    derive_params,
     estimate_entropy,
     high_entropy_distribution,
     lower_bound_demo,
+    plan_estimate,
+    query_ledger,
     query_scaling_sweep,
     random_distribution,
     shannon_entropy,
@@ -28,8 +34,8 @@ from qentropy.cli import main
 
 
 def test_sweep_total_grows_with_n():
-    # exact-mode ledgers depend only on (n, gamma, eps, alpha), so a Zipf
-    # input charges what the sweep's uniform input charges
+    # ledgers depend only on (n, gamma, eps, alpha), so a run on a Zipf input
+    # reports what the sweep computes from the parameters alone
     for quantum in (False, True):
         res = query_scaling_sweep([2 ** k for k in range(6, 11)], 1.5, 0.1,
                                   quantum=quantum)
@@ -61,6 +67,50 @@ def test_sweep_quantum_target():
     res = query_scaling_sweep([2 ** k for k in range(6, 12)], 2.0, 0.1,
                               quantum=True)
     assert res.target == pytest.approx(0.5 + 1.0 / 8.0)
+
+
+def _sources(n, quantum, rng):
+    """Six kinds of input of size n on one access model.
+
+    Classical access (alpha 1): four distributions, a density matrix's
+    spectrum and a dense classical oracle.  Quantum access (alpha sqrt(n)):
+    the quantum spectral encodings of the four distributions, a density
+    matrix and a dense quantum oracle.
+    """
+    dists = [Distribution.uniform(n), Distribution.zipf(n), Distribution.point_mass(n, n // 2),
+             Distribution.dirichlet(n, rng)]
+    rho = DensityMatrix.random(n, rng)
+    if quantum:
+        return [*map(spectral_encoding_quantum, dists), rho, build_purified_oracle_quantum(rho)]
+    return [*dists, rho.spectrum(), build_purified_oracle_classical(dists[3])]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 128), gamma=st.floats(1.2, 3.0), eps=st.floats(0.05, 0.5),
+       quantum=st.booleans(), repetitions=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
+def test_ledger_is_the_closed_form_for_every_source_and_mode(n, gamma, eps, quantum,
+                                                             repetitions, seed):
+    params = EstimatorParams(n=n, gamma=gamma, eps=eps)
+    want = query_ledger(derive_params(params, math.sqrt(n) if quantum else 1.0), repetitions)
+    for source in _sources(n, quantum, np.random.default_rng(seed)):
+        plan = plan_estimate(source, params)
+        for mode in ("exact", "bound_only", "sampled"):
+            assert plan.run(mode, seed, repetitions).ledger == want
+    sweep = query_scaling_sweep([n, n + 1, n + 2], gamma, eps, quantum=quantum,
+                                exclude_smallest=0)
+    assert sweep.rows[0].queries * repetitions == want["total_queries"]
+
+
+def test_sweep_builds_no_length_n_array():
+    # n floats would take 128 MB at n = 2^24
+    tracemalloc.start()
+    try:
+        res = query_scaling_sweep([2 ** k for k in range(6, 25)], 2.0, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed
+    assert peak < 16 * 2**20
 
 
 def test_classical_baseline_sane():
@@ -252,6 +302,14 @@ def test_cli_invalid_args_exit_2(tmp_path, capsys):
             (["lowerbound", "--kind", "collision", "--n", "64", "--param", "1e200"], "gamma"),
             # a finite square, but a budget eps2 no polynomial can meet
             (["estimate", "--gen", "uniform:n=64", "--gamma", "1e100"], "gamma = 1e+100"),
+            # a sweep builds no input, so a size past certification is refused at
+            # once (2^37 is the first at gamma = 1.5) and a size past the float range too
+            (["sweep", "--n-list", "64,128,256,512,1099511627776", "--gamma", "1.5"],
+             "at n = 1099511627776, the degree-27214 polynomial"),
+            (["sweep", "--n-list", "64,128,256,512,137438953472", "--gamma", "1.5"],
+             "certified to 9.88e-15, 1.024x its budget"),
+            (["sweep", "--n-list", f"64,128,256,512,{2**1024}", "--gamma", "2"],
+             "at most the largest float"),
             (["baseline", "--gen", "uniform:n=64", "--gamma", "2", "--eta-sample", "nan"],
              "eta"),
             # s = n^((1+eta)/gamma^2) log2(n) overflowed a float at eta = 1000 and

@@ -257,9 +257,9 @@ def test_heavy_stage_evaluates_polynomials_only_at_heavy_labels(monkeypatch):
     seen = []
     real = estimator_module.qsvt_apply
 
-    def recording(sigma, poly, ledger):
+    def recording(sigma, poly):
         seen.append(np.array(sigma))
-        return real(sigma, poly, ledger)
+        return real(sigma, poly)
 
     monkeypatch.setattr(estimator_module, "qsvt_apply", recording)
     estimate_entropy(p, params, mode="sampled", seed=0, repetitions=repetitions)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,23 +7,30 @@ from hypothesis import given, settings, strategies as st
 
 from qentropy import (
     Distribution,
+    EstimatorParams,
     ProjectedUnitaryEncoding,
-    QueryLedger,
     ValidationError,
     boost_median,
     build_purified_oracle_classical,
+    derive_params,
     projected_encoding_classical,
     qae,
     qae_error_bound,
     qae_outcome_distribution,
     qsve,
     qsvt_apply,
+    query_ledger,
     round_to_grid,
     sve_heavy,
     M_for_precision,
 )
 from qentropy.logapprox import taylor_poly_pos
-from qentropy.qsub import _draw_phase_estimation, _phase_estimation
+from qentropy.qsub import ANCILLAS, _draw_phase_estimation, _phase_estimation, sve_rounds
+
+
+def uses_U(derived, **changes):
+    """Uses of U that `query_ledger` charges one repetition of `derived` with `changes`."""
+    return query_ledger(dataclasses.replace(derived, **changes))["uses_U"]
 
 
 def make_enc(probs):
@@ -78,10 +86,7 @@ def test_qsve_ideal_contract():
             est = qsve(enc, m)
             err = np.abs(np.sort(est) - np.sort(enc.true_values()))
             assert np.max(err) <= 2.0 ** (-(m + 1)) + 1e-15
-            led = QueryLedger()
-            led.charge_sve(enc.alpha, m)
-            assert led.uses_U == led.uses_U_dagger
-            assert led.uses_U >= 1
+            assert sve_rounds(enc.alpha, m) >= 1
 
 
 def test_phase_estimation_mode_is_ideal_rounding():
@@ -98,23 +103,39 @@ def test_phase_estimation_mode_is_ideal_rounding():
         np.testing.assert_array_equal(qsve(ProjectedUnitaryEncoding(sigma, 1.0), m), likeliest)
 
 
+DERIVED = derive_params(EstimatorParams(n=64, gamma=1.5, eps=0.1), alpha=2.5)
+
+
 def test_qsve_ledger_charging():
-    enc = make_enc([0.5, 0.5])
-    led = QueryLedger()
-    led.charge_sve(enc.alpha, 3)
-    # 2 * ceil(alpha * 2^m) rounds of U and U dagger
-    assert led.uses_U == 2 * math.ceil(enc.alpha * 2 ** 3)
-    assert led.total_queries() > 0
+    # an m-bit SVE runs ceil(alpha * 2^(m+1)) rounds of U and of U dagger
+    assert sve_rounds(2.5, 3) == math.ceil(2.5 * 2 ** 4) == 40
+    rounds = sve_rounds(DERIVED.alpha, DERIVED.m_bits)
+    degrees = DERIVED.poly_pos.degree + DERIVED.poly_neg.degree
+    # with no amplitude-estimation rounds, a repetition is two SVEs and the two QSVTs
+    assert uses_U(DERIVED, M_light=0, M_heavy=0) == 2 * rounds + degrees
+    # one more SVE bit doubles the SVE rounds at alpha 2.5
+    assert (uses_U(DERIVED, M_light=0, M_heavy=0, m_bits=DERIVED.m_bits + 1)
+            == 4 * rounds + degrees)
+    ledger = query_ledger(DERIVED, 3)
+    assert ledger["uses_U"] == ledger["uses_U_dagger"] == 3 * uses_U(DERIVED)
+    assert ledger["total_queries"] == 2 * ledger["uses_U"]
 
 
 def test_qsvt_transforms_singular_values():
     enc = make_enc([0.64, 0.36])
     poly = taylor_poly_pos(1.0, 0.1, 1e-6)  # exact x/2
-    led = QueryLedger()
-    out = qsvt_apply(enc.sigma, poly, led)
+    out = qsvt_apply(enc.sigma, poly)
     want = np.sort(np.abs([poly(s) for s in enc.sigma]))
     assert np.allclose(np.sort(out), want, atol=1e-12)
-    assert led.uses_U == poly.degree
+    # each transformation costs its degree in uses, one controlled U and
+    # (ANCILLAS + 1) gates per degree: swapping this polynomial in for
+    # poly_pos moves the uses by the change in degree
+    d_pos, d_neg = DERIVED.poly_pos.degree, DERIVED.poly_neg.degree
+    swapped = dataclasses.replace(DERIVED, poly_pos=poly, M_light=0, M_heavy=0)
+    assert uses_U(swapped) == uses_U(DERIVED, M_light=0, M_heavy=0) - d_pos + poly.degree
+    ledger = query_ledger(DERIVED)
+    assert ledger["controlled_U"] == 2
+    assert ledger["extra_gates"] == (ANCILLAS + 1) * (d_pos + d_neg)
 
 
 def test_qae_error_bound_formula():
@@ -131,18 +152,23 @@ def test_m_for_precision():
 
 
 def test_qae_exact_mode():
-    led = QueryLedger()
-    est = qae(0.3, 64, "exact", np.random.default_rng(0), led, prep_cost_U=5)
-    assert est == 0.3
-    assert led.uses_U == 64 * 5
-    assert led.uses_U_dagger == 64 * 5
+    assert qae(0.3, 64, "exact", np.random.default_rng(0)) == 0.3
+    # a light round prepares with one SVE (R uses); a heavy round, once per
+    # polynomial, with one SVE and that polynomial's transformation
+    rounds = sve_rounds(DERIVED.alpha, DERIVED.m_bits)
+    d_pos, d_neg = DERIVED.poly_pos.degree, DERIVED.poly_neg.degree
+    base = uses_U(DERIVED, M_light=0, M_heavy=0)
+    assert uses_U(DERIVED, M_light=64, M_heavy=0) == base + 64 * rounds
+    assert uses_U(DERIVED, M_light=0, M_heavy=64) == base + 64 * (2 * rounds + d_pos + d_neg)
+    assert uses_U(DERIVED) == (base + DERIVED.M_light * rounds
+                               + DERIVED.M_heavy * (2 * rounds + d_pos + d_neg))
 
 
 def test_qae_bound_only_within_bound():
     rng = np.random.default_rng(1)
     for p in (0.05, 0.3, 0.7, 0.95):
         for m in (16, 128):
-            est = qae(p, m, "bound_only", rng, QueryLedger())
+            est = qae(p, m, "bound_only", rng)
             assert abs(est - p) <= qae_error_bound(p, m) + 1e-12
             assert 0.0 <= est <= 1.0
 
@@ -178,7 +204,7 @@ def test_qae_sampled_coverage():
     hits = 0
     trials = 400
     for _ in range(trials):
-        est = qae(0.3, 64, "sampled", rng, QueryLedger())
+        est = qae(0.3, 64, "sampled", rng)
         if abs(est - 0.3) <= qae_error_bound(0.3, 64):
             hits += 1
     assert hits / trials >= 8.0 / math.pi ** 2 - 0.05
@@ -224,7 +250,7 @@ def test_sampled_qae_returns_the_reference_outcome_value():
     p, rounds = 0.3, 1000
     values, probs = qae_outcome_distribution(p, rounds)
     rng = np.random.default_rng(12)
-    draws = [qae(p, rounds, "sampled", rng, QueryLedger()) for _ in range(200)]
+    draws = [qae(p, rounds, "sampled", rng) for _ in range(200)]
     # bit for bit, the value of the modal outcome is among the draws
     assert float(values[np.argmax(probs)]) in draws
     assert set(draws) <= set(values.tolist())
@@ -233,7 +259,7 @@ def test_sampled_qae_returns_the_reference_outcome_value():
 def test_qae_exact_amplitude_is_fixed_point():
     # sin^2(pi j / M) grid contains p when theta/pi is a multiple of 1/M
     p = math.sin(math.pi * 3 / 16) ** 2
-    est = qae(p, 16, "sampled", np.random.default_rng(3), QueryLedger())
+    est = qae(p, 16, "sampled", np.random.default_rng(3))
     assert abs(est - p) < 1e-12
 
 
@@ -241,10 +267,3 @@ def test_boost_median():
     assert boost_median([3.0, 1.0, 2.0]) == 2.0
     with pytest.raises(ValidationError):
         boost_median([1.0, 2.0])
-
-
-def test_ledger_merge_and_snapshot():
-    a = QueryLedger(uses_U=3, uses_U_dagger=2, controlled_U=1, extra_gates=4)
-    snap = a.snapshot()
-    assert snap["uses_U"] == 3
-    assert a.total_queries() == 3 + 2
