@@ -9,12 +9,14 @@ so they act as even functions of the singular value.  The builder scales
 each series to the QSVT bound |poly| <= 1 on [-1, 1]; `certify` only measures.
 Evaluation is blocked, one matrix product per chunk of points, and flushes
 powers below 2^-511 to 0 near |x| = 1, so high degrees run no subnormal
-arithmetic.
+arithmetic.  Near |x| = 1 the higher blocks of a wide-block polynomial cannot
+change a bit of the result, so a chunk inside the polynomial's `skip_radius`
+forms only its first block sums.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +27,8 @@ EVAL_CHUNK = 2**15      # entries of a chunk's power matrix (256 KB) while b <= 
 MIN_ROWS = 256          # fewest points per chunk: above b = 128 the matrix grows with b
 FLUSH_BELOW = 2.0**-511  # smaller powers become 0: two survivors multiply to a normal
 SERIES_CHUNK = 2**16    # most binomial-series terms built per cumulative product
+SKIP_ROWS = 4           # block sums a skipped chunk forms: one row would be a GEMV, summed otherwise
+ROUNDING_MARGIN = 1e-9  # relative rounding of block sums, powers and Horner steps, with room
 
 
 def choose_exponent(gamma: float, beta: float) -> float:
@@ -58,14 +62,23 @@ class TaylorPolynomial:
     coeffs[k] multiplies (|x| - 1)^k; evaluation at |x| makes the realized
     function even in x, matching how it is applied to singular values.
     Evaluation is blocked (Paterson-Stockmeyer): the coefficients split into
-    b ~ sqrt(degree) blocks of b terms, the block sums come from one matrix
-    product per chunk of max(MIN_ROWS, EVAL_CHUNK // b) points, and Horner
-    runs over the blocks.  In a chunk holding some 0 < |y| < 2^(-511/b),
-    y = |x| - 1, each power y^k and the Horner step z = y^b is flushed to 0
-    below FLUSH_BELOW, so the powers and their products stay normal; a
-    dropped term is below FLUSH_BELOW * sum |coeffs|.  The last bits of
-    poly(x) can depend on the chunk a point falls in, so on where it sits
-    in x.
+    b ~ sqrt(degree) blocks of b terms, the block sums s_j come from one
+    matrix product per chunk of max(MIN_ROWS, EVAL_CHUNK // b) points, and
+    Horner runs over the blocks with z = y^b, y = |x| - 1.  In a chunk holding
+    some 0 < |y| < 2^(-511/b), each power y^k and z is flushed to 0 below
+    FLUSH_BELOW, so the powers and their products stay normal; a dropped term
+    is below FLUSH_BELOW * sum |coeffs|.
+    The last Horner step returns s_0 + z * acc_1, and fl(s + t) = s for a
+    normal s when |t| < 2^-55 |s|.  `skip_radius` is the largest Y for which
+    |y| <= Y guarantees that, with T_1 = sum_{k>=b} |c_k|, H_1 =
+    sum_{1<=k<b} |c_k| and kappa = ROUNDING_MARGIN:
+    Y^b T_1 (1 + kappa) < 2^-55 (|c_0| - H_1 Y - kappa sum |c_k|), the right
+    side at least 2^-1000 so that s_0 stays normal.  A chunk whose points all
+    lie within it forms only the first SKIP_ROWS block sums and returns s_0.
+    It is -1, so nothing skips, while b <= EVAL_CHUNK // MIN_ROWS = 128.
+    The last bits of poly(x) can depend on the chunk a point falls in, so on
+    where it sits in x: the flush is per chunk, and a skipped chunk's s_0
+    comes from a smaller product, which BLAS may sum in another order.
     `normalization` is the scale of the approximated target: poly(x) is
     within eps_cert of normalization * x^(sign*c) on [delta, 1].
     """
@@ -76,9 +89,11 @@ class TaylorPolynomial:
     delta: float
     normalization: float
     eps_cert: float
+    skip_radius: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
+        object.__setattr__(self, "skip_radius", _skip_radius(self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -92,7 +107,7 @@ class TaylorPolynomial:
         # Paterson-Stockmeyer blocking: sum_k c_k y^k = sum_j z^j B_j(y) with
         # z = y^b and B_j the degree-(b-1) block j, so one GEMM forms every
         # block sum and Horner runs over K ~ sqrt(degree) blocks, not degree terms
-        b = max(1, math.isqrt(self.coeffs.size))
+        b = _block_width(self.coeffs.size)
         n_blocks = -(-self.coeffs.size // b)
         blocks = np.zeros(n_blocks * b)
         blocks[:self.coeffs.size] = self.coeffs
@@ -104,6 +119,7 @@ class TaylorPolynomial:
         out = np.empty_like(y)
         near = np.flatnonzero(np.abs(y, out=out) < FLUSH_BELOW ** (1.0 / b))
         flush_chunks = set((near[y[near] != 0.0] // rows).tolist()) if near.size else ()
+        radius = self.skip_radius
         # buffers reused by every chunk: fresh ones per chunk cost more than the work
         powers = np.empty((b, rows))                # row k: y^k over the chunk
         sums = np.empty((n_blocks, rows))           # row j: B_j(y) over the chunk
@@ -114,6 +130,8 @@ class TaylorPolynomial:
             if yc.size < rows:                      # the last, shorter chunk
                 powers, sums, z = powers[:, :yc.size], sums[:, :yc.size], z[:yc.size]
             flush = chunk in flush_chunks
+            # `out` still holds this chunk's |y|
+            skip = radius >= 0.0 and out[start:start + yc.size].max() <= radius
             w = 1
             while w < b:                            # rows [w, 2w) = rows [0, w) * y^w
                 step = min(w, b - w)
@@ -124,6 +142,10 @@ class TaylorPolynomial:
                 w += step
             if flush:  # y^k times a flushed y^w (k < w) is normal or 0; drop those below 2^-511
                 _flush_tiny(powers, scratch=sums[:b])
+            if skip:  # the last Horner step would return s_0 exactly
+                np.matmul(blocks[:SKIP_ROWS], powers, out=sums[:SKIP_ROWS])
+                out[start:start + yc.size] = sums[0]
+                continue
             np.matmul(blocks, powers, out=sums)
             np.multiply(powers[b - 1], yc, out=z)   # z = y^b
             if flush:
@@ -139,6 +161,36 @@ class TaylorPolynomial:
         x = np.asarray(x, dtype=float)
         out = self.normalization * x ** (self.sign * self.c)
         return float(out) if out.ndim == 0 else out
+
+
+def _block_width(size: int) -> int:
+    """Block width b ~ sqrt(size) of the blocked evaluation of `size` coefficients."""
+    return max(1, math.isqrt(size))
+
+
+def _skip_radius(coeffs: np.ndarray) -> float:
+    """Largest |y| at which the blocks past the first cannot change a bit; see TaylorPolynomial.
+
+    Bisection: the left side of the test rises in Y and the right side falls.
+    """
+    b = _block_width(coeffs.size)
+    if b <= EVAL_CHUNK // MIN_ROWS:
+        return -1.0
+    mags = np.abs(coeffs)
+    c0, head, tail = float(mags[0]), float(mags[1:b].sum()), float(mags[b:].sum())
+    floor = ROUNDING_MARGIN * float(mags.sum())
+
+    def exact(y: float) -> bool:
+        bound = 2.0**-55 * (c0 - head * y - floor)
+        return bound >= 2.0**-1000 and y**b * tail * (1.0 + ROUNDING_MARGIN) < bound
+
+    if not exact(0.0):
+        return -1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if exact(mid) else (lo, mid)
+    return lo
 
 
 def _flush_tiny(a: np.ndarray, scratch: np.ndarray | None = None):

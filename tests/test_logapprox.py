@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from qentropy import EstimatorParams, derive_params
+from qentropy import EstimatorParams, derive_params, logapprox
 from qentropy.estimator import CERT_GRID_POINTS
 from qentropy.logapprox import (
     TaylorPolynomial,
@@ -237,3 +237,96 @@ def test_blocked_evaluation_matches_horner_without_underflow(c, delta, log_eps, 
     # degrees up to about 18k, so some block widths exceed 128 and take MIN_ROWS points
     poly = build(c, delta, 10.0**log_eps)
     _assert_matches_horner(poly, np.concatenate((np.linspace(-1.0, 1.0, 601), EDGE_POINTS)))
+
+
+def _block_sums_and_horner(poly, y):
+    # the blocked evaluation in full, written independently of TaylorPolynomial.__call__:
+    # powers by a running product, every block sum from one product, Horner over all blocks
+    b = math.isqrt(poly.coeffs.size)
+    n_blocks = -(-poly.coeffs.size // b)
+    blocks = np.zeros(n_blocks * b)
+    blocks[:poly.coeffs.size] = poly.coeffs
+    powers = np.cumprod(np.vstack((np.ones_like(y), np.broadcast_to(y, (b - 1, y.size)))), axis=0)
+    sums = blocks.reshape(n_blocks, b) @ powers
+    z = powers[b - 1] * y
+    acc = sums[n_blocks - 1].copy()
+    for j in range(n_blocks - 2, -1, -1):
+        acc = acc * z + sums[j]
+    return sums, acc
+
+
+def _assert_skip_keeps_every_bit(poly):
+    # inside skip_radius the blocks past the first cannot change a bit: the full
+    # Horner result equals block sum 0 of the same product, however BLAS summed it
+    r = poly.skip_radius
+    assert 0.0 < r < 1.0
+    edge = r * (1.0 - np.geomspace(1e-15, 0.5, 60))  # the test is tightest at |y| = r
+    y = np.concatenate((np.linspace(-1.0, 1.0, 201), edge, -edge, [r, -r]))
+    with np.errstate(under="ignore"):
+        sums, acc = _block_sums_and_horner(poly, y)
+    inside = np.abs(y) <= r
+    assert inside.sum() >= 120
+    assert np.array_equal(acc[inside], sums[0][inside])
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=st.floats(0.05, 0.95), delta=st.floats(2e-4, 6e-4), log_eps=st.floats(-10.0, -3.0),
+       build=st.sampled_from([taylor_poly_pos, taylor_poly_neg]))
+def test_skip_radius_keeps_every_bit_of_the_full_horner_result(c, delta, log_eps, build):
+    poly = build(c, delta, 10.0**log_eps)
+    assume(math.isqrt(poly.coeffs.size) > 128)
+    _assert_skip_keeps_every_bit(poly)
+
+
+@settings(max_examples=25, deadline=None)
+@given(b=st.integers(129, 160), c0=st.sampled_from([1.0, -1.0]), head=st.floats(-0.5, 0.5),
+       spike=st.floats(1e-3, 1e3), spike_sign=st.sampled_from([1.0, -1.0]))
+def test_skip_radius_keeps_every_bit_where_its_bound_is_tight(b, c0, head, spike, spike_sign):
+    # a Taylor tail spreads over many blocks, so |z * acc_1| stays far below the
+    # radius' bound Y^b T_1; a lone tail coefficient at k = b meets it, so a radius
+    # even 8x too generous (2^-52 for 2^-55) changes bits at its edge
+    coeffs = np.zeros(b * b)
+    coeffs[[0, 1, b]] = c0, head, spike_sign * spike
+    poly = TaylorPolynomial(coeffs=coeffs, c=1.0, sign=1, delta=1.0, normalization=1.0,
+                            eps_cert=0.0)
+    _assert_skip_keeps_every_bit(poly)
+
+
+def test_skip_radius_is_minus_one_up_to_block_width_128():
+    # block widths up to EVAL_CHUNK // MIN_ROWS = 128 never skip: the polynomials of
+    # mult_zipf_large, vn_spectral and oracle_dense, and a series cut at b = 128 and 129
+    long = taylor_poly_neg(0.99, 1.5e-3, 1e-12)
+    assert _truncated(long, 128**2 - 1).skip_radius == -1.0
+    assert _truncated(long, 129**2 - 1).skip_radius > 0.0
+    for n, gamma, eps, alpha, m_bits, _ in DERIVED_CASES:
+        d = derive_params(EstimatorParams(n=n, gamma=gamma, eps=eps), alpha=alpha, m_bits=m_bits)
+        for poly in (d.poly_pos, d.poly_neg):
+            if math.isqrt(poly.coeffs.size) <= 128:
+                assert poly.skip_radius == -1.0, (n, poly.degree)
+            else:
+                assert poly.skip_radius > 0.0, (n, poly.degree)
+
+
+@pytest.mark.parametrize("logn", [12, 14])
+def test_certify_with_skipped_chunks_matches_full_evaluation(logn, monkeypatch):
+    # the additive polynomials at n = 4096 and 16384, degrees 91k and 412k: most of
+    # the certification grid lies inside the radius, and skipping moves no value by
+    # more than 4 ulps of sum |c_k| against the same evaluation with nothing skipped
+    d = derive_params(EstimatorParams(n=2**logn, gamma=1.0 + 0.25 / logn, eps=0.25 / (4 * logn)),
+                      m_bits=logn)
+    full_grid = _cert_grid(-1.0, 1.0, CERT_GRID_POINTS)
+    for poly in (d.poly_pos, d.poly_neg):
+        dom = _cert_grid(poly.delta, 1.0, CERT_GRID_POINTS)
+        grid = np.concatenate((full_grid, dom))
+        assert poly.skip_radius >= 0.85
+        assert np.mean(np.abs(np.abs(grid) - 1.0) <= poly.skip_radius) >= 0.8
+        rep, got = certify(poly, CERT_GRID_POINTS), poly(grid)
+        with monkeypatch.context() as m:
+            m.setattr(logapprox, "_skip_radius", lambda coeffs: -1.0)
+            unskipped = dataclasses.replace(poly)
+        assert unskipped.skip_radius == -1.0
+        want = unskipped(grid)
+        tol = 4 * np.finfo(float).eps * np.abs(poly.coeffs).sum()
+        assert np.max(np.abs(got - want)) <= tol
+        assert abs(rep.max_abs - np.abs(want[:full_grid.size]).max()) <= tol
+        assert abs(rep.sup_error - np.abs(want[full_grid.size:] - poly.target(dom)).max()) <= tol
