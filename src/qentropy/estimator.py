@@ -10,9 +10,9 @@ that is (1+2*eps)*gamma-multiplicative whenever the entropy promise holds.
 
 The seed-independent work is an `EstimationPlan`, built once per source; each
 repetition of its `run` only transforms the heavy singular values and draws
-its amplitude estimates.  The oracle uses a run costs are a closed form of the
-derived parameters, `query_ledger`, which the run reports and the query
-sweeps read without building an input.
+its amplitude estimates.  A run's oracle-query cost is a closed form of the
+derived parameters, `query_ledger`: the run reports it, and the query sweeps
+read it without building an input.
 """
 from __future__ import annotations
 

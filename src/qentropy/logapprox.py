@@ -9,9 +9,9 @@ so they act as even functions of the singular value.  The builder scales
 each series to the QSVT bound |poly| <= 1 on [-1, 1]; `certify` only measures.
 Evaluation is blocked, one matrix product per chunk of points, and flushes
 powers below 2^-511 to 0 near |x| = 1, so high degrees run no subnormal
-arithmetic.  Near |x| = 1 the higher blocks of a wide-block polynomial cannot
-change a bit of the result, so a chunk inside the polynomial's `skip_radius`
-forms only its first block sums.
+arithmetic.  Each chunk forms only the leading blocks that the rest cannot
+move: near |x| = 1 a wide-block polynomial keeps one block, and the result is
+exact; elsewhere the dropped blocks lie below the rounding of the result.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ EVAL_CHUNK = 2**15      # entries of a chunk's power matrix (256 KB) while b <= 
 MIN_ROWS = 256          # fewest points per chunk: above b = 128 the matrix grows with b
 FLUSH_BELOW = 2.0**-511  # smaller powers become 0: two survivors multiply to a normal
 SERIES_CHUNK = 2**16    # most binomial-series terms built per cumulative product
-SKIP_ROWS = 4           # block sums a skipped chunk forms: one row would be a GEMV, summed otherwise
+MIN_PRODUCT_ROWS = 8    # fewest block sums a chunk forms: fewer rows are summed in another order
 ROUNDING_MARGIN = 1e-9  # relative rounding of block sums, powers and Horner steps, with room
 
 
@@ -68,17 +68,24 @@ class TaylorPolynomial:
     some 0 < |y| < 2^(-511/b), each power y^k and z is flushed to 0 below
     FLUSH_BELOW, so the powers and their products stay normal; a dropped term
     is below FLUSH_BELOW * sum |coeffs|.
-    The last Horner step returns s_0 + z * acc_1, and fl(s + t) = s for a
-    normal s when |t| < 2^-55 |s|.  `skip_radius` is the largest Y for which
-    |y| <= Y guarantees that, with T_1 = sum_{k>=b} |c_k|, H_1 =
-    sum_{1<=k<b} |c_k| and kappa = ROUNDING_MARGIN:
-    Y^b T_1 (1 + kappa) < 2^-55 (|c_0| - H_1 Y - kappa sum |c_k|), the right
-    side at least 2^-1000 so that s_0 stays normal.  A chunk whose points all
-    lie within it forms only the first SKIP_ROWS block sums and returns s_0.
-    It is -1, so nothing skips, while b <= EVAL_CHUNK // MIN_ROWS = 128.
+    A chunk keeps only its leading J block sums, J from the chunk's largest
+    |y| = Y and the per-block coefficient sums U_j = sum_i |c_(jb+i)| in
+    `block_norms`.  With kappa = ROUNDING_MARGIN,
+        L = |c_0| - Y (U_0 - |c_0|) - sum_{j>=1} U_j Y^(jb) - kappa sum U
+    is a lower bound on |s_0| and on |poly(x)|, and J is the fewest blocks
+    with (1 + kappa) sum_{j>=J} U_j Y^(jb) < 2^-55 L and 2^-55 L >= 2^-1000;
+    J = n_blocks when none fits, when Y >= 1, or while b <= EVAL_CHUNK //
+    MIN_ROWS = 128.  At J = 1 the result is exact: the last Horner step
+    returns s_0 + z * acc_1, and fl(s + t) = s for a normal s when
+    |t| < 2^-55 |s|.  At J > 1 the dropped blocks are below 2^-55 |poly(x)|,
+    so the result is within rounding of the full evaluation.  The product
+    forms at least MIN_PRODUCT_ROWS block sums: at b = 642, products of 6 or
+    fewer rows summed in another order and moved 1,898 of 16,384 heavy values
+    by up to 18 ulps against every block kept; with 8 rows none moved by more
+    than 1.
     The last bits of poly(x) can depend on the chunk a point falls in, so on
-    where it sits in x: the flush is per chunk, and a skipped chunk's s_0
-    comes from a smaller product, which BLAS may sum in another order.
+    where it sits in x: the flush and J are per chunk, and a product of fewer
+    rows may be summed in another order.
     `normalization` is the scale of the approximated target: poly(x) is
     within eps_cert of normalization * x^(sign*c) on [delta, 1].
     """
@@ -89,11 +96,14 @@ class TaylorPolynomial:
     delta: float
     normalization: float
     eps_cert: float
-    skip_radius: float = field(init=False, repr=False)
+    block_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
-        object.__setattr__(self, "skip_radius", _skip_radius(self.coeffs))
+        starts = np.arange(0, self.coeffs.size, _block_width(self.coeffs.size))
+        norms = np.add.reduceat(np.abs(self.coeffs), starts)
+        norms.setflags(write=False)
+        object.__setattr__(self, "block_norms", norms)
 
     @property
     def degree(self) -> int:
@@ -103,12 +113,13 @@ class TaylorPolynomial:
         x = np.abs(np.asarray(x, dtype=float))
         if x.size == 0:  # no heavy labels: nothing to evaluate
             return x
-        y = x.ravel() - 1.0
+        y = x.ravel()
+        y -= 1.0  # in place where ravel is a view: only x's shape is read again
         # Paterson-Stockmeyer blocking: sum_k c_k y^k = sum_j z^j B_j(y) with
-        # z = y^b and B_j the degree-(b-1) block j, so one GEMM forms every
-        # block sum and Horner runs over K ~ sqrt(degree) blocks, not degree terms
+        # z = y^b and B_j the degree-(b-1) block j, so one GEMM forms the block
+        # sums and Horner runs over at most K ~ sqrt(degree) blocks, not degree terms
         b = _block_width(self.coeffs.size)
-        n_blocks = -(-self.coeffs.size // b)
+        n_blocks = self.block_norms.size
         blocks = np.zeros(n_blocks * b)
         blocks[:self.coeffs.size] = self.coeffs
         blocks = blocks.reshape(n_blocks, b)        # row j: coefficients of block j
@@ -119,7 +130,6 @@ class TaylorPolynomial:
         out = np.empty_like(y)
         near = np.flatnonzero(np.abs(y, out=out) < FLUSH_BELOW ** (1.0 / b))
         flush_chunks = set((near[y[near] != 0.0] // rows).tolist()) if near.size else ()
-        radius = self.skip_radius
         # buffers reused by every chunk: fresh ones per chunk cost more than the work
         powers = np.empty((b, rows))                # row k: y^k over the chunk
         sums = np.empty((n_blocks, rows))           # row j: B_j(y) over the chunk
@@ -130,8 +140,7 @@ class TaylorPolynomial:
             if yc.size < rows:                      # the last, shorter chunk
                 powers, sums, z = powers[:, :yc.size], sums[:, :yc.size], z[:yc.size]
             flush = chunk in flush_chunks
-            # `out` still holds this chunk's |y|
-            skip = radius >= 0.0 and out[start:start + yc.size].max() <= radius
+            kept = _blocks_kept(self, out[start:start + yc.size])  # `out` still holds |y|
             w = 1
             while w < b:                            # rows [w, 2w) = rows [0, w) * y^w
                 step = min(w, b - w)
@@ -142,16 +151,14 @@ class TaylorPolynomial:
                 w += step
             if flush:  # y^k times a flushed y^w (k < w) is normal or 0; drop those below 2^-511
                 _flush_tiny(powers, scratch=sums[:b])
-            if skip:  # the last Horner step would return s_0 exactly
-                np.matmul(blocks[:SKIP_ROWS], powers, out=sums[:SKIP_ROWS])
-                out[start:start + yc.size] = sums[0]
-                continue
-            np.matmul(blocks, powers, out=sums)
-            np.multiply(powers[b - 1], yc, out=z)   # z = y^b
-            if flush:
-                _flush_tiny(z)
-            acc = sums[n_blocks - 1]
-            for j in range(n_blocks - 2, -1, -1):
+            formed = min(n_blocks, max(kept, MIN_PRODUCT_ROWS))
+            np.matmul(blocks[:formed], powers, out=sums[:formed])
+            if kept > 1:
+                np.multiply(powers[b - 1], yc, out=z)   # z = y^b
+                if flush:
+                    _flush_tiny(z)
+            acc = sums[kept - 1]
+            for j in range(kept - 2, -1, -1):
                 acc *= z
                 acc += sums[j]
             out[start:start + yc.size] = acc
@@ -168,29 +175,31 @@ def _block_width(size: int) -> int:
     return max(1, math.isqrt(size))
 
 
-def _skip_radius(coeffs: np.ndarray) -> float:
-    """Largest |y| at which the blocks past the first cannot change a bit; see TaylorPolynomial.
+def _blocks_kept(poly: TaylorPolynomial, abs_y) -> int:
+    """Leading blocks J to evaluate for a chunk whose points have |y| = abs_y; see TaylorPolynomial.
 
-    Bisection: the left side of the test rises in Y and the right side falls.
+    abs_y is read only above the floor on b, so block widths up to 128 make no
+    extra pass over the chunk.  Y^(jb) is clamped at 2^-500, an over-estimate,
+    so nothing underflows.
     """
-    b = _block_width(coeffs.size)
+    norms = poly.block_norms
+    b = _block_width(poly.coeffs.size)
     if b <= EVAL_CHUNK // MIN_ROWS:
-        return -1.0
-    mags = np.abs(coeffs)
-    c0, head, tail = float(mags[0]), float(mags[1:b].sum()), float(mags[b:].sum())
-    floor = ROUNDING_MARGIN * float(mags.sum())
-
-    def exact(y: float) -> bool:
-        bound = 2.0**-55 * (c0 - head * y - floor)
-        return bound >= 2.0**-1000 and y**b * tail * (1.0 + ROUNDING_MARGIN) < bound
-
-    if not exact(0.0):
-        return -1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if exact(mid) else (lo, mid)
-    return lo
+        return norms.size
+    y_max = float(np.max(abs_y))
+    if y_max >= 1.0:
+        return norms.size
+    log_z = b * math.log2(max(y_max, 2.0**-500))
+    tails = np.exp2(np.maximum(np.arange(1.0, norms.size) * log_z, -500.0))
+    tails *= norms[1:]
+    tails = np.cumsum(tails[::-1])[::-1]        # tails[J - 1] = sum_{j>=J} U_j Y^(jb)
+    c0 = abs(float(poly.coeffs[0]))
+    low = c0 - y_max * (norms[0] - c0) - tails[0] - ROUNDING_MARGIN * float(norms.sum())
+    bound = 2.0**-55 * low
+    fits = tails * (1.0 + ROUNDING_MARGIN) < bound  # False, then True: tails fall in J
+    if bound < 2.0**-1000 or not fits[-1]:
+        return norms.size
+    return 1 + int(np.argmax(fits))
 
 
 def _flush_tiny(a: np.ndarray, scratch: np.ndarray | None = None):

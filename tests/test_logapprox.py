@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qentropy import EstimatorParams, derive_params, logapprox
+from qentropy import Distribution, EstimatorParams, derive_params, logapprox, plan_additive
 from qentropy.estimator import CERT_GRID_POINTS
 from qentropy.logapprox import (
     TaylorPolynomial,
+    _blocks_kept,
     _cert_grid,
     certify,
     choose_exponent,
@@ -255,77 +256,146 @@ def _block_sums_and_horner(poly, y):
     return sums, acc
 
 
-def _assert_skip_keeps_every_bit(poly):
-    # inside skip_radius the blocks past the first cannot change a bit: the full
-    # Horner result equals block sum 0 of the same product, however BLAS summed it
-    r = poly.skip_radius
+def _spy_blocks_kept(monkeypatch):
+    # (polynomial, J) of every chunk evaluated while the spy is installed
+    kept, rule = [], logapprox._blocks_kept
+
+    def spy(poly, abs_y):
+        kept.append((poly, rule(poly, abs_y)))
+        return kept[-1][1]
+    monkeypatch.setattr(logapprox, "_blocks_kept", spy)
+    return kept
+
+
+def _keep_every_block(monkeypatch):
+    monkeypatch.setattr(logapprox, "_blocks_kept", lambda poly, abs_y: poly.block_norms.size)
+
+
+def _assert_one_block_keeps_every_bit(poly):
+    # wherever a chunk keeps one block, the blocks past the first cannot change a bit:
+    # the full Horner result equals block sum 0 of the same product, however BLAS summed
+    # it.  J falls as |y| does, so the points with J = 1 are those with |y| <= r
+    assert _blocks_kept(poly, 0.0) == 1
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _blocks_kept(poly, mid) == 1 else (lo, mid)
+    r = lo
     assert 0.0 < r < 1.0
-    edge = r * (1.0 - np.geomspace(1e-15, 0.5, 60))  # the test is tightest at |y| = r
+    edge = r * (1.0 - np.geomspace(1e-15, 0.5, 60))  # the rule is tightest at |y| = r
     y = np.concatenate((np.linspace(-1.0, 1.0, 201), edge, -edge, [r, -r]))
     with np.errstate(under="ignore"):
         sums, acc = _block_sums_and_horner(poly, y)
-    inside = np.abs(y) <= r
-    assert inside.sum() >= 120
-    assert np.array_equal(acc[inside], sums[0][inside])
+    one = np.array([_blocks_kept(poly, abs(v)) == 1 for v in y])
+    assert one.sum() >= 120
+    assert np.array_equal(one, np.abs(y) <= r)
+    assert np.array_equal(acc[one], sums[0][one])
 
 
 @settings(max_examples=25, deadline=None)
 @given(c=st.floats(0.05, 0.95), delta=st.floats(2e-4, 6e-4), log_eps=st.floats(-10.0, -3.0),
        build=st.sampled_from([taylor_poly_pos, taylor_poly_neg]))
-def test_skip_radius_keeps_every_bit_of_the_full_horner_result(c, delta, log_eps, build):
+def test_one_kept_block_keeps_every_bit_of_the_full_horner_result(c, delta, log_eps, build):
     poly = build(c, delta, 10.0**log_eps)
     assume(math.isqrt(poly.coeffs.size) > 128)
-    _assert_skip_keeps_every_bit(poly)
+    _assert_one_block_keeps_every_bit(poly)
 
 
 @settings(max_examples=25, deadline=None)
 @given(b=st.integers(129, 160), c0=st.sampled_from([1.0, -1.0]), head=st.floats(-0.5, 0.5),
        spike=st.floats(1e-3, 1e3), spike_sign=st.sampled_from([1.0, -1.0]))
-def test_skip_radius_keeps_every_bit_where_its_bound_is_tight(b, c0, head, spike, spike_sign):
+def test_one_kept_block_keeps_every_bit_where_the_rule_is_tight(b, c0, head, spike, spike_sign):
     # a Taylor tail spreads over many blocks, so |z * acc_1| stays far below the
-    # radius' bound Y^b T_1; a lone tail coefficient at k = b meets it, so a radius
-    # even 8x too generous (2^-52 for 2^-55) changes bits at its edge
+    # rule's bound sum_{j>=1} U_j Y^(jb); a lone tail coefficient at k = b meets it,
+    # so a rule even 8x too generous (2^-52 for 2^-55) changes bits at its edge
     coeffs = np.zeros(b * b)
     coeffs[[0, 1, b]] = c0, head, spike_sign * spike
     poly = TaylorPolynomial(coeffs=coeffs, c=1.0, sign=1, delta=1.0, normalization=1.0,
                             eps_cert=0.0)
-    _assert_skip_keeps_every_bit(poly)
+    _assert_one_block_keeps_every_bit(poly)
 
 
-def test_skip_radius_is_minus_one_up_to_block_width_128():
-    # block widths up to EVAL_CHUNK // MIN_ROWS = 128 never skip: the polynomials of
-    # mult_zipf_large, vn_spectral and oracle_dense, and a series cut at b = 128 and 129
+def test_every_block_is_kept_up_to_block_width_128(monkeypatch):
+    # block widths up to EVAL_CHUNK // MIN_ROWS = 128 keep every block in every chunk:
+    # the polynomials of mult_zipf_large, vn_spectral and oracle_dense, and a series cut
+    # at b = 128; cut at b = 129 it keeps one block at |x| = 1
     long = taylor_poly_neg(0.99, 1.5e-3, 1e-12)
-    assert _truncated(long, 128**2 - 1).skip_radius == -1.0
-    assert _truncated(long, 129**2 - 1).skip_radius > 0.0
-    for n, gamma, eps, alpha, m_bits, _ in DERIVED_CASES:
-        d = derive_params(EstimatorParams(n=n, gamma=gamma, eps=eps), alpha=alpha, m_bits=m_bits)
-        for poly in (d.poly_pos, d.poly_neg):
-            if math.isqrt(poly.coeffs.size) <= 128:
-                assert poly.skip_radius == -1.0, (n, poly.degree)
-            else:
-                assert poly.skip_radius > 0.0, (n, poly.degree)
+    cut128, cut129 = _truncated(long, 128**2 - 1), _truncated(long, 129**2 - 1)
+    assert _blocks_kept(cut129, 0.0) == 1
+    kept = _spy_blocks_kept(monkeypatch)
+    cut128(np.concatenate((np.linspace(-1.0, 1.0, 4001), [1.0] * 256)))
+    for n, gamma, eps, alpha, m_bits, _ in DERIVED_CASES:  # certifies both polynomials
+        derive_params(EstimatorParams(n=n, gamma=gamma, eps=eps), alpha=alpha, m_bits=m_bits)
+    narrow = [(poly, j) for poly, j in kept if math.isqrt(poly.coeffs.size) <= 128]
+    assert len({id(poly) for poly, _ in narrow}) == 2 * len(DERIVED_CASES) - 1
+    assert all(j == poly.block_norms.size for poly, j in narrow)
+    wide = {poly.degree for poly, j in kept if math.isqrt(poly.coeffs.size) > 128 and j == 1}
+    assert wide == {91405, 91544}
+
+
+def test_every_block_is_kept_at_abs_x_two_and_beyond(monkeypatch):
+    # |x| >= 2 puts |y| >= 1, where no block can be dropped
+    poly = taylor_poly_neg(0.3, 3e-4, 1e-6)
+    assert math.isqrt(poly.coeffs.size) > 128
+    kept = _spy_blocks_kept(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly(np.array([2.0, -2.0, 3.5]))
+    assert [j for _, j in kept] == [poly.block_norms.size]
+    assert _blocks_kept(poly, 1.0) == _blocks_kept(poly, 2.5) == poly.block_norms.size
+
+
+@settings(max_examples=20, deadline=None)
+@given(c=st.floats(0.05, 0.95), delta=st.floats(2e-4, 6e-4), log_eps=st.floats(-10.0, -3.0),
+       build=st.sampled_from([taylor_poly_pos, taylor_poly_neg]),
+       seed=st.integers(0, 2**32 - 1))
+def test_kept_blocks_match_every_block_within_4_ulps(c, delta, log_eps, build, seed):
+    # points spread over [-1, 1], so chunks keep anything from one block to all of them;
+    # every value lies within 4 ulps of sum |c_k| of the same evaluation keeping all
+    poly = build(c, delta, 10.0**log_eps)
+    assume(math.isqrt(poly.coeffs.size) > 128)
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, 3000)
+    x[::7] = 1.0 - np.geomspace(1e-12, 1.0, x[::7].size)
+    got = poly(x)
+    with pytest.MonkeyPatch.context() as m:
+        _keep_every_block(m)
+        want = poly(x)
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.abs(poly.coeffs).sum()
+
+
+def test_additive_plan_keeps_few_blocks(monkeypatch):
+    # the n = 4096 additive plan, degrees 91k: a heavy chunk of the benchmark's permuted
+    # Zipf input, sigma down to 0.0052, keeps at most 20 of about 303 blocks, and most
+    # chunks of the certification grid keep one
+    p = Distribution.zipf(4096, 1.0).probs
+    kept = _spy_blocks_kept(monkeypatch)
+    plan = plan_additive(Distribution(p[np.random.default_rng(0).permutation(p.size)]), 0.25)
+    certifying = [j for _, j in kept]
+    kept.clear()
+    plan.run(mode="exact")
+    heavy = [j for _, j in kept]
+    assert plan.derived.poly_pos.degree > 90_000 and len(heavy) == 2 * 16
+    assert max(heavy) <= 20
+    assert np.mean(np.array(certifying) == 1) >= 0.8
 
 
 @pytest.mark.parametrize("logn", [12, 14])
 def test_certify_with_skipped_chunks_matches_full_evaluation(logn, monkeypatch):
-    # the additive polynomials at n = 4096 and 16384, degrees 91k and 412k: most of
-    # the certification grid lies inside the radius, and skipping moves no value by
-    # more than 4 ulps of sum |c_k| against the same evaluation with nothing skipped
+    # the additive polynomials at n = 4096 and 16384, degrees 91k and 412k: most chunks
+    # of the certification grid keep one block, and no value moves by more than 4 ulps
+    # of sum |c_k| against the same evaluation keeping every block
     d = derive_params(EstimatorParams(n=2**logn, gamma=1.0 + 0.25 / logn, eps=0.25 / (4 * logn)),
                       m_bits=logn)
     full_grid = _cert_grid(-1.0, 1.0, CERT_GRID_POINTS)
     for poly in (d.poly_pos, d.poly_neg):
         dom = _cert_grid(poly.delta, 1.0, CERT_GRID_POINTS)
         grid = np.concatenate((full_grid, dom))
-        assert poly.skip_radius >= 0.85
-        assert np.mean(np.abs(np.abs(grid) - 1.0) <= poly.skip_radius) >= 0.8
-        rep, got = certify(poly, CERT_GRID_POINTS), poly(grid)
         with monkeypatch.context() as m:
-            m.setattr(logapprox, "_skip_radius", lambda coeffs: -1.0)
-            unskipped = dataclasses.replace(poly)
-        assert unskipped.skip_radius == -1.0
-        want = unskipped(grid)
+            kept = _spy_blocks_kept(m)
+            rep, got = certify(poly, CERT_GRID_POINTS), poly(grid)
+        assert np.mean([j == 1 for _, j in kept]) >= 0.8
+        with monkeypatch.context() as m:
+            _keep_every_block(m)
+            want = poly(grid)
         tol = 4 * np.finfo(float).eps * np.abs(poly.coeffs).sum()
         assert np.max(np.abs(got - want)) <= tol
         assert abs(rep.max_abs - np.abs(want[:full_grid.size]).max()) <= tol
