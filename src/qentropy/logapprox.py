@@ -9,9 +9,11 @@ so they act as even functions of the singular value.  The builder scales
 each series to the QSVT bound |poly| <= 1 on [-1, 1]; `certify` only measures.
 Evaluation is blocked, one matrix product per chunk of points, and flushes
 powers below 2^-511 to 0 near |x| = 1, so high degrees run no subnormal
-arithmetic.  Each chunk forms only the leading blocks that the rest cannot
-move: near |x| = 1 a wide-block polynomial keeps one block, and the result is
-exact; elsewhere the dropped blocks lie below the rounding of the result.
+arithmetic; the powers that the flush would zero are never formed.  Each chunk
+forms only the leading blocks that the rest cannot move: near |x| = 1 a
+wide-block polynomial keeps one block, and the result is exact; elsewhere the
+dropped blocks lie below the rounding of the result.  `certify` evaluates once,
+at the distinct |x| of its grids on [-1, 1] and on [delta, 1].
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ MAX_DEGREE = 5_000_000
 EVAL_CHUNK = 2**15      # entries of a chunk's power matrix (256 KB) while b <= 128
 MIN_ROWS = 256          # fewest points per chunk: above b = 128 the matrix grows with b
 FLUSH_BELOW = 2.0**-511  # smaller powers become 0: two survivors multiply to a normal
-SERIES_CHUNK = 2**16    # most binomial-series terms built per cumulative product
+SERIES_CHUNK = 2**13    # most binomial-series terms built per cumulative product
 MIN_PRODUCT_ROWS = 8    # fewest block sums a chunk forms: fewer rows are summed in another order
 ROUNDING_MARGIN = 1e-9  # relative rounding of block sums, powers and Horner steps, with room
 
@@ -62,12 +64,18 @@ class TaylorPolynomial:
     coeffs[k] multiplies (|x| - 1)^k; evaluation at |x| makes the realized
     function even in x, matching how it is applied to singular values.
     Evaluation is blocked (Paterson-Stockmeyer): the coefficients split into
-    b ~ sqrt(degree) blocks of b terms, the block sums s_j come from one
-    matrix product per chunk of max(MIN_ROWS, EVAL_CHUNK // b) points, and
-    Horner runs over the blocks with z = y^b, y = |x| - 1.  In a chunk holding
-    some 0 < |y| < 2^(-511/b), each power y^k and z is flushed to 0 below
+    b ~ sqrt(degree) blocks of b terms, the rows of `blocks` (built once, with
+    `coeffs` a read-only view of it), the block sums s_j come from one matrix
+    product per chunk of max(MIN_ROWS, EVAL_CHUNK // b) points, and Horner runs
+    over the blocks with z = y^b, y = |x| - 1.  In a chunk holding some
+    0 < |y| < 2^(-511/b), each power y^k and z is flushed to 0 below
     FLUSH_BELOW, so the powers and their products stay normal; a dropped term
-    is below FLUSH_BELOW * sum |coeffs|.
+    is below FLUSH_BELOW * sum |coeffs|.  There, with Y and y_min the chunk's
+    largest and smallest nonzero |y| and Y < 1, the rows k >= hi of the power
+    matrix, where Y^k (1 + kappa) < FLUSH_BELOW, would be flushed whole, so
+    they are set to 0 and never formed, and the rows k < lo, where
+    y_min^k (1 - kappa) >= FLUSH_BELOW, hold nothing to flush, so the last
+    flush scans rows [lo, hi) alone: the matrix is the same byte for byte.
     A chunk keeps only its leading J block sums, J from the chunk's largest
     |y| = Y and the per-block coefficient sums U_j = sum_i |c_(jb+i)| in
     `block_norms`.  With kappa = ROUNDING_MARGIN,
@@ -96,13 +104,20 @@ class TaylorPolynomial:
     delta: float
     normalization: float
     eps_cert: float
+    blocks: np.ndarray = field(init=False, repr=False)
     block_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.coeffs.setflags(write=False)
-        starts = np.arange(0, self.coeffs.size, _block_width(self.coeffs.size))
-        norms = np.add.reduceat(np.abs(self.coeffs), starts)
+        size = self.coeffs.size
+        b = _block_width(size)
+        blocks = np.zeros((-(-size // b), b))       # row j: coefficients of block j
+        blocks.reshape(-1)[:size] = self.coeffs
+        blocks.setflags(write=False)
+        coeffs = blocks.reshape(-1)[:size]           # a read-only view: the caller's array is copied
+        norms = np.add.reduceat(np.abs(coeffs), np.arange(0, size, b))
         norms.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "block_norms", norms)
 
     @property
@@ -118,11 +133,7 @@ class TaylorPolynomial:
         # Paterson-Stockmeyer blocking: sum_k c_k y^k = sum_j z^j B_j(y) with
         # z = y^b and B_j the degree-(b-1) block j, so one GEMM forms the block
         # sums and Horner runs over at most K ~ sqrt(degree) blocks, not degree terms
-        b = _block_width(self.coeffs.size)
-        n_blocks = self.block_norms.size
-        blocks = np.zeros(n_blocks * b)
-        blocks[:self.coeffs.size] = self.coeffs
-        blocks = blocks.reshape(n_blocks, b)        # row j: coefficients of block j
+        n_blocks, b = self.blocks.shape
         rows = min(y.size, max(MIN_ROWS, EVAL_CHUNK // b))
         # only a chunk holding some 0 < |y| < 2^(-511/b) can have a power up to
         # y^b below FLUSH_BELOW; there powers are flushed, so their products stay normal.
@@ -130,9 +141,12 @@ class TaylorPolynomial:
         out = np.empty_like(y)
         near = np.flatnonzero(np.abs(y, out=out) < FLUSH_BELOW ** (1.0 / b))
         flush_chunks = set((near[y[near] != 0.0] // rows).tolist()) if near.size else ()
+        kept = _blocks_kept(self, out, rows).tolist()  # J of each chunk, from |y|
+        formed = [min(n_blocks, max(j, MIN_PRODUCT_ROWS)) for j in kept]
         # buffers reused by every chunk: fresh ones per chunk cost more than the work
         powers = np.empty((b, rows))                # row k: y^k over the chunk
-        sums = np.empty((n_blocks, rows))           # row j: B_j(y) over the chunk
+        # row j: B_j(y) over the chunk, and |powers| while a chunk is flushed
+        sums = np.empty((max(*formed, b if flush_chunks else 0), rows))
         z = np.empty(rows)
         powers[0] = 1.0
         for chunk, start in enumerate(range(0, y.size, rows)):
@@ -140,25 +154,26 @@ class TaylorPolynomial:
             if yc.size < rows:                      # the last, shorter chunk
                 powers, sums, z = powers[:, :yc.size], sums[:, :yc.size], z[:yc.size]
             flush = chunk in flush_chunks
-            kept = _blocks_kept(self, out[start:start + yc.size])  # `out` still holds |y|
+            # rows [lo, hi) to scan in the last flush, from |y|, which `out` still holds
+            lo, hi = _flush_band(b, out[start:start + yc.size]) if flush else (b, b)
             w = 1
-            while w < b:                            # rows [w, 2w) = rows [0, w) * y^w
-                step = min(w, b - w)
+            while w < hi:                           # rows [w, 2w) = rows [0, w) * y^w
+                step = min(w, hi - w)
                 np.multiply(powers[w - 1], yc, out=z)
                 if flush:
                     _flush_tiny(z)
                 np.multiply(powers[:step], z, out=powers[w:w + step])
                 w += step
-            if flush:  # y^k times a flushed y^w (k < w) is normal or 0; drop those below 2^-511
-                _flush_tiny(powers, scratch=sums[:b])
-            formed = min(n_blocks, max(kept, MIN_PRODUCT_ROWS))
-            np.matmul(blocks[:formed], powers, out=sums[:formed])
-            if kept > 1:
+            powers[hi:] = 0.0                       # rows the flush would zero whole
+            if lo < hi:  # y^k times a flushed y^w (k < w) is normal or 0; drop those below 2^-511
+                _flush_tiny(powers[lo:hi], scratch=sums[:hi - lo])
+            np.matmul(self.blocks[:formed[chunk]], powers, out=sums[:formed[chunk]])
+            if kept[chunk] > 1:
                 np.multiply(powers[b - 1], yc, out=z)   # z = y^b
                 if flush:
                     _flush_tiny(z)
-            acc = sums[kept - 1]
-            for j in range(kept - 2, -1, -1):
+            acc = sums[kept[chunk] - 1]
+            for j in range(kept[chunk] - 2, -1, -1):
                 acc *= z
                 acc += sums[j]
             out[start:start + yc.size] = acc
@@ -175,31 +190,49 @@ def _block_width(size: int) -> int:
     return max(1, math.isqrt(size))
 
 
-def _blocks_kept(poly: TaylorPolynomial, abs_y) -> int:
-    """Leading blocks J to evaluate for a chunk whose points have |y| = abs_y; see TaylorPolynomial.
+def _blocks_kept(poly: TaylorPolynomial, abs_y: np.ndarray, rows: int) -> np.ndarray:
+    """Leading blocks J to evaluate in each chunk of `rows` points of |y| = abs_y; see TaylorPolynomial.
 
-    abs_y is read only above the floor on b, so block widths up to 128 make no
-    extra pass over the chunk.  Y^(jb) is clamped at 2^-500, an over-estimate,
-    so nothing underflows.
+    One pass takes every chunk's largest |y|, and one (chunks x n_blocks) array
+    gives every J.  abs_y is read only above the floor on b, so block widths up
+    to 128 make no extra pass over the points.  Y^(jb) is clamped at 2^-500, an
+    over-estimate, so nothing underflows, and Y at 1, where J = n_blocks anyway,
+    so nothing overflows.
     """
     norms = poly.block_norms
-    b = _block_width(poly.coeffs.size)
+    b = poly.blocks.shape[1]
+    starts = np.arange(0, abs_y.size, rows)
     if b <= EVAL_CHUNK // MIN_ROWS:
-        return norms.size
-    y_max = float(np.max(abs_y))
-    if y_max >= 1.0:
-        return norms.size
-    log_z = b * math.log2(max(y_max, 2.0**-500))
-    tails = np.exp2(np.maximum(np.arange(1.0, norms.size) * log_z, -500.0))
+        return np.full(starts.size, norms.size)
+    y_max = np.maximum.reduceat(abs_y, starts)
+    y_cut = np.minimum(y_max, 1.0)
+    log_z = np.array([b * math.log2(max(v, 2.0**-500)) for v in y_cut.tolist()])
+    tails = np.exp2(np.maximum(np.arange(1.0, norms.size) * log_z[:, None], -500.0))
     tails *= norms[1:]
-    tails = np.cumsum(tails[::-1])[::-1]        # tails[J - 1] = sum_{j>=J} U_j Y^(jb)
+    tails = np.cumsum(tails[:, ::-1], axis=1)[:, ::-1]  # tails[:, J - 1] = sum_{j>=J} U_j Y^(jb)
     c0 = abs(float(poly.coeffs[0]))
-    low = c0 - y_max * (norms[0] - c0) - tails[0] - ROUNDING_MARGIN * float(norms.sum())
+    low = c0 - y_cut * (norms[0] - c0) - tails[:, 0] - ROUNDING_MARGIN * float(norms.sum())
     bound = 2.0**-55 * low
-    fits = tails * (1.0 + ROUNDING_MARGIN) < bound  # False, then True: tails fall in J
-    if bound < 2.0**-1000 or not fits[-1]:
-        return norms.size
-    return 1 + int(np.argmax(fits))
+    fits = tails * (1.0 + ROUNDING_MARGIN) < bound[:, None]  # False, then True: tails fall in J
+    kept = 1 + np.argmax(fits, axis=1)
+    kept[(y_max >= 1.0) | (bound < 2.0**-1000) | ~fits[:, -1]] = norms.size
+    return kept
+
+
+def _flush_band(b: int, abs_y: np.ndarray) -> tuple[int, int]:
+    """Rows [lo, hi) of a flush chunk's b powers, at |y| = abs_y, that the last flush must scan.
+
+    The rule is TaylorPolynomial's; ROUNDING_MARGIN also covers the rounding of
+    the logarithms.  Every row is in the band when some |y| >= 1.
+    """
+    y_max = float(abs_y.max())
+    if y_max >= 1.0:
+        return 0, b
+    y_min = float(abs_y.min(initial=1.0, where=abs_y > 0.0))  # a flush chunk has some |y| > 0
+    log_flush = -math.log2(FLUSH_BELOW)
+    hi = min(b, int((log_flush + math.log2(1.0 + ROUNDING_MARGIN)) / -math.log2(y_max)) + 1)
+    lo = min(hi, int((log_flush + math.log2(1.0 - ROUNDING_MARGIN)) / -math.log2(y_min)) + 1)
+    return lo, hi
 
 
 def _flush_tiny(a: np.ndarray, scratch: np.ndarray | None = None):
@@ -297,29 +330,39 @@ class CertReport:
     max_abs: float          # max |poly| on [-1, 1]
 
 
-def _cert_grid(lo: float, hi: float, m: int) -> np.ndarray:
-    """Uniform grid joined with Chebyshev nodes on [lo, hi]."""
-    uni = np.linspace(lo, hi, m)
+def _cert_grid(delta: float, m: int) -> np.ndarray:
+    """Distinct |x| of the uniform and Chebyshev grids of m points on [-1, 1] and on [delta, 1].
+
+    Sorted in descending order, so the points near |x| = 1, where a chunk keeps
+    few blocks and forms few powers, fill the first chunks of an evaluation.
+    """
     k = np.arange(1, m + 1)
-    cheb = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2 * k - 1) * np.pi / (2 * m))
-    return np.union1d(uni, cheb)
+    grids = []
+    for lo, hi in ((-1.0, 1.0), (delta, 1.0)):
+        grids += [np.linspace(lo, hi, m),
+                  0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2 * k - 1) * np.pi / (2 * m))]
+    grid = np.sort(np.abs(np.concatenate(grids)))[::-1]
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 def certify(poly: TaylorPolynomial, grid_points: int = 20001) -> CertReport:
     """Dense-grid measurement of approximation error and magnitude.
 
-    Measures |poly - normalization * x^(sign*c)| on [delta, 1] and |poly| on
-    [-1, 1] (via the even realization) in one evaluation pass over both
-    grids.  The polynomial is only read; judging the report against an
-    error budget and the bound 1 is the caller's job (see `derive_params`).
+    The polynomial is evaluated at |x|, so one pass over the distinct |x| of the
+    uniform and Chebyshev grids on [-1, 1] and on [delta, 1] (`_cert_grid`)
+    measures both figures: max_abs is the largest |poly| over the whole grid,
+    and sup_error the largest |poly - normalization * x^(sign*c)| over its
+    points >= delta.  Each figure covers every point of the two grids and more.
+    The polynomial is only read; judging the report against an error budget and
+    the bound 1 is the caller's job (see `derive_params`).
     """
     if grid_points < 1000:
         raise ValidationError("grid_points must be at least 1000")
-    full = _cert_grid(-1.0, 1.0, grid_points)
-    dom = _cert_grid(poly.delta, 1.0, grid_points)
-    vals = poly(np.concatenate((full, dom)))
-    return CertReport(sup_error=float(np.abs(vals[full.size:] - poly.target(dom)).max()),
-                      max_abs=float(np.abs(vals[:full.size]).max()))
+    grid = _cert_grid(poly.delta, grid_points)
+    vals = poly(grid)
+    dom = grid >= poly.delta
+    return CertReport(sup_error=float(np.abs(vals[dom] - poly.target(grid[dom])).max()),
+                      max_abs=float(np.abs(vals).max()))
 
 
 def degree_bound(c: float, delta: float, eps: float, constant: float = 20.0) -> int:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 
@@ -8,8 +9,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qentropy import Distribution, EstimatorParams, derive_params, logapprox, plan_additive
 from qentropy.estimator import CERT_GRID_POINTS
 from qentropy.logapprox import (
+    EVAL_CHUNK,
+    MIN_ROWS,
+    ROUNDING_MARGIN,
     TaylorPolynomial,
-    _blocks_kept,
     _cert_grid,
     certify,
     choose_exponent,
@@ -105,16 +108,42 @@ def test_rescale_keeps_error_budget():
     assert rep.sup_error <= 1e-3
 
 
+def _separate_grid(lo, hi, m):
+    # the uniform grid joined with Chebyshev nodes on [lo, hi]: certify once measured
+    # max |poly| on this grid over [-1, 1] and the error on it over [delta, 1]
+    uni = np.linspace(lo, hi, m)
+    k = np.arange(1, m + 1)
+    cheb = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos((2 * k - 1) * np.pi / (2 * m))
+    return np.union1d(uni, cheb)
+
+
+def _assert_certify_covers_the_separate_grids(poly, points, rep, tol):
+    # the one grid holds every |x| of both separate grids, so each figure is at least
+    # the figure of a separate pass over them, less the tolerance
+    full, dom = _separate_grid(-1.0, 1.0, points), _separate_grid(poly.delta, 1.0, points)
+    grid = _cert_grid(poly.delta, points)
+    assert np.isin(np.abs(full), grid).all() and np.isin(dom, grid).all()
+    assert rep.max_abs >= float(np.abs(poly(full)).max()) - tol
+    assert rep.sup_error >= float(np.abs(poly(dom) - poly.target(dom)).max()) - tol
+
+
+def _ulps_of_coeff_sum(poly):
+    return 4 * np.finfo(float).eps * np.abs(poly.coeffs).sum()
+
+
 @pytest.mark.parametrize("make", [lambda: taylor_poly_pos(0.3, 0.05, 1e-6),
                                   lambda: taylor_poly_neg(0.3, 0.05, 1e-6)])
 def test_certify_matches_separate_grid_passes(make):
-    # certify evaluates both grids in one pass; the neg case comes rescaled
+    # certify evaluates the distinct |x| of both grids in one pass: max |poly| over all
+    # of them, the error over those >= delta; the neg case comes rescaled
     poly = make()
     rep = certify(poly, 4001)
-    full = _cert_grid(-1.0, 1.0, 4001)
-    dom = _cert_grid(poly.delta, 1.0, 4001)
-    assert rep.max_abs == float(np.abs(poly(full)).max())
+    grid = _cert_grid(poly.delta, 4001)
+    dom = grid[grid >= poly.delta]
+    assert np.all(np.diff(grid) < 0) and grid[0] == 1.0 and grid[-1] == 0.0
+    assert rep.max_abs == float(np.abs(poly(grid)).max())
     assert rep.sup_error == float(np.abs(poly(dom) - poly.target(dom)).max())
+    _assert_certify_covers_the_separate_grids(poly, 4001, rep, _ulps_of_coeff_sum(poly))
 
 
 def test_certify_leaves_the_polynomial_unchanged():
@@ -222,8 +251,7 @@ def test_blocked_evaluation_matches_horner_on_additive_certify_grid():
     d = derive_params(EstimatorParams(n=4096, gamma=1.0 + 0.25 / 12, eps=0.25 / 48), m_bits=12)
     for poly in (d.poly_pos, d.poly_neg):
         assert poly.degree > 90_000
-        grid = np.concatenate((_cert_grid(-1.0, 1.0, CERT_GRID_POINTS),
-                               _cert_grid(poly.delta, 1.0, CERT_GRID_POINTS)))
+        grid = _cert_grid(poly.delta, CERT_GRID_POINTS)
         with np.errstate(under="raise"):  # the whole grid, powers flushed below 2^-511
             poly(np.concatenate((grid, EDGE_POINTS)))
         _assert_matches_horner(poly, np.concatenate((grid[::8], EDGE_POINTS)))
@@ -256,37 +284,119 @@ def _block_sums_and_horner(poly, y):
     return sums, acc
 
 
-def _spy_blocks_kept(monkeypatch):
-    # (polynomial, J) of every chunk evaluated while the spy is installed
+@contextlib.contextmanager
+def _patched(name, fn):
+    # logapprox.<name> is fn inside the block, which fails unless fn was called: a
+    # patch that is never called proves nothing
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(logapprox, name, counted)
+        yield
+    assert calls, f"logapprox.{name} was never called"
+
+
+@contextlib.contextmanager
+def _spy_blocks_kept():
+    # yields the (polynomial, J) of every chunk evaluated inside the block
     kept, rule = [], logapprox._blocks_kept
 
-    def spy(poly, abs_y):
-        kept.append((poly, rule(poly, abs_y)))
-        return kept[-1][1]
-    monkeypatch.setattr(logapprox, "_blocks_kept", spy)
-    return kept
+    def spy(poly, abs_y, rows):
+        counts = rule(poly, abs_y, rows)
+        kept.extend((poly, int(j)) for j in counts)
+        return counts
+    with _patched("_blocks_kept", spy):
+        yield kept
 
 
-def _keep_every_block(monkeypatch):
-    monkeypatch.setattr(logapprox, "_blocks_kept", lambda poly, abs_y: poly.block_norms.size)
+def _keep_every_block():
+    # every chunk evaluated inside the block keeps every block
+    return _patched("_blocks_kept",
+                    lambda poly, abs_y, rows: np.full(-(-abs_y.size // rows), poly.block_norms.size))
+
+
+def _kept(poly, abs_y):
+    # J at each |y| of abs_y, every point a chunk of its own
+    return logapprox._blocks_kept(poly, np.atleast_1d(np.asarray(abs_y, dtype=float)), 1)
+
+
+def _blocks_kept_per_chunk(poly, abs_y):
+    # the block rule of TaylorPolynomial, written for one chunk at a time
+    norms = poly.block_norms
+    b = math.isqrt(poly.coeffs.size)
+    if b <= EVAL_CHUNK // MIN_ROWS:
+        return norms.size
+    y_max = float(np.max(abs_y))
+    if y_max >= 1.0:
+        return norms.size
+    log_z = b * math.log2(max(y_max, 2.0**-500))
+    tails = np.exp2(np.maximum(np.arange(1.0, norms.size) * log_z, -500.0))
+    tails *= norms[1:]
+    tails = np.cumsum(tails[::-1])[::-1]
+    c0 = abs(float(poly.coeffs[0]))
+    low = c0 - y_max * (norms[0] - c0) - tails[0] - ROUNDING_MARGIN * float(norms.sum())
+    bound = 2.0**-55 * low
+    fits = tails * (1.0 + ROUNDING_MARGIN) < bound
+    if bound < 2.0**-1000 or not fits[-1]:
+        return norms.size
+    return 1 + int(np.argmax(fits))
+
+
+def _assert_one_pass_matches_per_chunk(poly, x):
+    # the chunks of poly(x): every J of the one pass equals the per-chunk rule's
+    abs_y = np.abs(np.abs(x) - 1.0)
+    rows = min(abs_y.size, max(MIN_ROWS, EVAL_CHUNK // math.isqrt(poly.coeffs.size)))
+    with _spy_blocks_kept() as kept:
+        poly(x)
+    want = [_blocks_kept_per_chunk(poly, abs_y[s:s + rows]) for s in range(0, abs_y.size, rows)]
+    assert [j for _, j in kept] == want
+
+
+def test_one_pass_block_counts_match_the_per_chunk_rule_on_every_certify_grid():
+    wide = 0
+    for n, gamma, eps, alpha, m_bits, _ in DERIVED_CASES:
+        d = derive_params(EstimatorParams(n=n, gamma=gamma, eps=eps), alpha=alpha, m_bits=m_bits)
+        for poly in (d.poly_pos, d.poly_neg):
+            _assert_one_pass_matches_per_chunk(poly, _cert_grid(poly.delta, CERT_GRID_POINTS))
+            wide += math.isqrt(poly.coeffs.size) > 128
+    assert wide == 2
+
+
+@settings(max_examples=15, deadline=None)
+@given(c=st.floats(0.05, 0.95), delta=st.floats(2e-4, 6e-4), log_eps=st.floats(-10.0, -3.0),
+       build=st.sampled_from([taylor_poly_pos, taylor_poly_neg]),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_pass_block_counts_match_the_per_chunk_rule(c, delta, log_eps, build, seed):
+    # chunks of points spread over [-1.2, 1.2], of points crowded at |x| -> 1, and of both
+    poly = build(c, delta, 10.0**log_eps)
+    assume(math.isqrt(poly.coeffs.size) > 128)
+    rng = np.random.default_rng(seed)
+    x = np.concatenate((rng.uniform(-1.2, 1.2, 1500), 1.0 - np.geomspace(1e-15, 0.5, 1000),
+                        rng.uniform(-1.0, 1.0, 700)))
+    x[1700:1900] = 1.0 - rng.uniform(0.0, 1e-3, 200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_one_pass_matches_per_chunk(poly, x)
 
 
 def _assert_one_block_keeps_every_bit(poly):
     # wherever a chunk keeps one block, the blocks past the first cannot change a bit:
     # the full Horner result equals block sum 0 of the same product, however BLAS summed
     # it.  J falls as |y| does, so the points with J = 1 are those with |y| <= r
-    assert _blocks_kept(poly, 0.0) == 1
+    assert _kept(poly, 0.0)[0] == 1
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _blocks_kept(poly, mid) == 1 else (lo, mid)
+        lo, hi = (mid, hi) if _kept(poly, mid)[0] == 1 else (lo, mid)
     r = lo
     assert 0.0 < r < 1.0
     edge = r * (1.0 - np.geomspace(1e-15, 0.5, 60))  # the rule is tightest at |y| = r
     y = np.concatenate((np.linspace(-1.0, 1.0, 201), edge, -edge, [r, -r]))
     with np.errstate(under="ignore"):
         sums, acc = _block_sums_and_horner(poly, y)
-    one = np.array([_blocks_kept(poly, abs(v)) == 1 for v in y])
+    one = _kept(poly, np.abs(y)) == 1
     assert one.sum() >= 120
     assert np.array_equal(one, np.abs(y) <= r)
     assert np.array_equal(acc[one], sums[0][one])
@@ -315,17 +425,17 @@ def test_one_kept_block_keeps_every_bit_where_the_rule_is_tight(b, c0, head, spi
     _assert_one_block_keeps_every_bit(poly)
 
 
-def test_every_block_is_kept_up_to_block_width_128(monkeypatch):
+def test_every_block_is_kept_up_to_block_width_128():
     # block widths up to EVAL_CHUNK // MIN_ROWS = 128 keep every block in every chunk:
     # the polynomials of mult_zipf_large, vn_spectral and oracle_dense, and a series cut
     # at b = 128; cut at b = 129 it keeps one block at |x| = 1
     long = taylor_poly_neg(0.99, 1.5e-3, 1e-12)
     cut128, cut129 = _truncated(long, 128**2 - 1), _truncated(long, 129**2 - 1)
-    assert _blocks_kept(cut129, 0.0) == 1
-    kept = _spy_blocks_kept(monkeypatch)
-    cut128(np.concatenate((np.linspace(-1.0, 1.0, 4001), [1.0] * 256)))
-    for n, gamma, eps, alpha, m_bits, _ in DERIVED_CASES:  # certifies both polynomials
-        derive_params(EstimatorParams(n=n, gamma=gamma, eps=eps), alpha=alpha, m_bits=m_bits)
+    assert _kept(cut129, 0.0)[0] == 1
+    with _spy_blocks_kept() as kept:
+        cut128(np.concatenate((np.linspace(-1.0, 1.0, 4001), [1.0] * 256)))
+        for n, gamma, eps, alpha, m_bits, _ in DERIVED_CASES:  # certifies both polynomials
+            derive_params(EstimatorParams(n=n, gamma=gamma, eps=eps), alpha=alpha, m_bits=m_bits)
     narrow = [(poly, j) for poly, j in kept if math.isqrt(poly.coeffs.size) <= 128]
     assert len({id(poly) for poly, _ in narrow}) == 2 * len(DERIVED_CASES) - 1
     assert all(j == poly.block_norms.size for poly, j in narrow)
@@ -333,15 +443,14 @@ def test_every_block_is_kept_up_to_block_width_128(monkeypatch):
     assert wide == {91405, 91544}
 
 
-def test_every_block_is_kept_at_abs_x_two_and_beyond(monkeypatch):
+def test_every_block_is_kept_at_abs_x_two_and_beyond():
     # |x| >= 2 puts |y| >= 1, where no block can be dropped
     poly = taylor_poly_neg(0.3, 3e-4, 1e-6)
     assert math.isqrt(poly.coeffs.size) > 128
-    kept = _spy_blocks_kept(monkeypatch)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _spy_blocks_kept() as kept, np.errstate(over="ignore", invalid="ignore"):
         poly(np.array([2.0, -2.0, 3.5]))
     assert [j for _, j in kept] == [poly.block_norms.size]
-    assert _blocks_kept(poly, 1.0) == _blocks_kept(poly, 2.5) == poly.block_norms.size
+    assert _kept(poly, [1.0, 2.5, np.inf]).tolist() == [poly.block_norms.size] * 3
 
 
 @settings(max_examples=20, deadline=None)
@@ -356,47 +465,102 @@ def test_kept_blocks_match_every_block_within_4_ulps(c, delta, log_eps, build, s
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, 3000)
     x[::7] = 1.0 - np.geomspace(1e-12, 1.0, x[::7].size)
     got = poly(x)
-    with pytest.MonkeyPatch.context() as m:
-        _keep_every_block(m)
+    with _keep_every_block():
         want = poly(x)
-    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.abs(poly.coeffs).sum()
+    assert np.max(np.abs(got - want)) <= _ulps_of_coeff_sum(poly)
 
 
-def test_additive_plan_keeps_few_blocks(monkeypatch):
+def test_additive_plan_keeps_few_blocks():
     # the n = 4096 additive plan, degrees 91k: a heavy chunk of the benchmark's permuted
     # Zipf input, sigma down to 0.0052, keeps at most 20 of about 303 blocks, and most
     # chunks of the certification grid keep one
     p = Distribution.zipf(4096, 1.0).probs
-    kept = _spy_blocks_kept(monkeypatch)
-    plan = plan_additive(Distribution(p[np.random.default_rng(0).permutation(p.size)]), 0.25)
-    certifying = [j for _, j in kept]
-    kept.clear()
-    plan.run(mode="exact")
-    heavy = [j for _, j in kept]
+    with _spy_blocks_kept() as certifying:
+        plan = plan_additive(Distribution(p[np.random.default_rng(0).permutation(p.size)]), 0.25)
+    with _spy_blocks_kept() as heavy:
+        plan.run(mode="exact")
     assert plan.derived.poly_pos.degree > 90_000 and len(heavy) == 2 * 16
-    assert max(heavy) <= 20
-    assert np.mean(np.array(certifying) == 1) >= 0.8
+    assert max(j for _, j in heavy) <= 20
+    assert np.mean([j == 1 for _, j in certifying]) >= 0.8
+
+
+def _scan_every_row():
+    # the last flush of every flush chunk inside the block scans every row
+    return _patched("_flush_band", lambda b, abs_y: (0, b))
+
+
+def _one_row_per_block(b, row, values):
+    coeffs = np.zeros(b * b)
+    coeffs[row::b] = values
+    return TaylorPolynomial(coeffs=coeffs, c=1.0, sign=1, delta=1.0, normalization=1.0,
+                            eps_cert=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(b=st.integers(129, 160), row=st.integers(12, 126), seed=st.integers(0, 2**32 - 1))
+def test_flush_band_keeps_every_bit(b, row, seed):
+    # each block's one nonzero coefficient multiplies y^row, and |y| = 2^(-511/d) with d
+    # spread over [row - 1, row + 2), so chunks of points sorted by |y| put the band's
+    # edges on that row; the powers of every point fall below 2^-511 by y^b.  Some
+    # chunks also hold |x| >= 2, where every row is formed and scanned, or |x| = 1.
+    # The values must not move by a bit against a band of every row
+    rng = np.random.default_rng(seed)
+    poly = _one_row_per_block(b, row, rng.uniform(0.5, 2.0, b) * rng.choice([-1.0, 1.0], b))
+    y = np.sort(np.exp2(-511.0 / rng.uniform(row - 1.0, row + 2.0, 3000)))
+    x = 1.0 + y * rng.choice([-1.0, 1.0], y.size)
+    x[rng.choice(x.size, 4, replace=False)] = rng.uniform(2.0, 2.01, 4)
+    x[rng.choice(x.size, 4, replace=False)] = [1.0, -1.0, -2.0, -2.005]
+    with np.errstate(under="raise"):
+        got = poly(x)
+        with _scan_every_row():
+            want = poly(x)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("row", [55, 100, 135])
+def test_flush_band_keeps_every_bit_at_its_rounding_edge(row):
+    # points within 8 ulps of |y| = 2^(-511/row), each a chunk of its own: there the
+    # running product can round y^row to the other side of 2^-511, which the band's
+    # ROUNDING_MARGIN covers; with no margin, the values nearest the edge move
+    poly = _one_row_per_block(140, row, 1.0)
+    x = 1.0 - 2.0 ** (-511.0 / row) + np.arange(-8, 9) * 2.0**-53
+    x = np.concatenate((x, 2.0 - x))
+    with np.errstate(under="raise"):
+        got = [poly(x[i:i + 1]).tobytes() for i in range(x.size)]
+        with _scan_every_row():
+            want = [poly(x[i:i + 1]).tobytes() for i in range(x.size)]
+    assert got == want
+
+
+def test_series_chunk_changes_no_coefficient(monkeypatch):
+    # the binomial series runs one cumulative product across its chunks, so the chunk
+    # size changes no bit of the degree-91k coefficients of additive mode at n = 4096
+    d = derive_params(EstimatorParams(n=4096, gamma=1.0 + 0.25 / 12, eps=0.25 / 48), m_bits=12)
+    monkeypatch.setattr(logapprox, "SERIES_CHUNK", 2**16)
+    for built, build in ((d.poly_pos, taylor_poly_pos), (d.poly_neg, taylor_poly_neg)):
+        wide = build(d.a, d.delta, d.eps2)
+        assert built.degree > 90_000 and wide.degree == built.degree
+        assert built.coeffs.tobytes() == wide.coeffs.tobytes()
+        assert (built.eps_cert, built.normalization) == (wide.eps_cert, wide.normalization)
 
 
 @pytest.mark.parametrize("logn", [12, 14])
-def test_certify_with_skipped_chunks_matches_full_evaluation(logn, monkeypatch):
+def test_certify_with_skipped_chunks_matches_full_evaluation(logn):
     # the additive polynomials at n = 4096 and 16384, degrees 91k and 412k: most chunks
     # of the certification grid keep one block, and no value moves by more than 4 ulps
     # of sum |c_k| against the same evaluation keeping every block
     d = derive_params(EstimatorParams(n=2**logn, gamma=1.0 + 0.25 / logn, eps=0.25 / (4 * logn)),
                       m_bits=logn)
-    full_grid = _cert_grid(-1.0, 1.0, CERT_GRID_POINTS)
     for poly in (d.poly_pos, d.poly_neg):
-        dom = _cert_grid(poly.delta, 1.0, CERT_GRID_POINTS)
-        grid = np.concatenate((full_grid, dom))
-        with monkeypatch.context() as m:
-            kept = _spy_blocks_kept(m)
+        grid = _cert_grid(poly.delta, CERT_GRID_POINTS)
+        dom = grid >= poly.delta
+        with _spy_blocks_kept() as kept:
             rep, got = certify(poly, CERT_GRID_POINTS), poly(grid)
         assert np.mean([j == 1 for _, j in kept]) >= 0.8
-        with monkeypatch.context() as m:
-            _keep_every_block(m)
+        with _keep_every_block():
             want = poly(grid)
-        tol = 4 * np.finfo(float).eps * np.abs(poly.coeffs).sum()
+        tol = _ulps_of_coeff_sum(poly)
         assert np.max(np.abs(got - want)) <= tol
-        assert abs(rep.max_abs - np.abs(want[:full_grid.size]).max()) <= tol
-        assert abs(rep.sup_error - np.abs(want[full_grid.size:] - poly.target(dom)).max()) <= tol
+        assert abs(rep.max_abs - np.abs(want).max()) <= tol
+        assert abs(rep.sup_error - np.abs(want[dom] - poly.target(grid[dom])).max()) <= tol
+        _assert_certify_covers_the_separate_grids(poly, CERT_GRID_POINTS, rep, tol)
