@@ -14,6 +14,7 @@ import numpy as np
 SUM_TOL = 1e-12
 EIG_CLAMP = 1e-12
 _HERMITIAN_BLOCK = 2**16  # entries of one row block of the Hermitian check (1 MB)
+COLLISION_SIZE_CAP = 1 << 22  # max labels n * M of a collision pair
 
 
 class ValidationError(ValueError):
@@ -246,7 +247,7 @@ def shannon_entropy(p: Distribution | np.ndarray) -> float:
     nz = v if v.size and v.min() > 0 else v[v > 0]  # gather only if some p_i <= 0
     terms = np.log2(nz)
     terms *= nz
-    return float(-terms.sum())
+    return float(-terms.sum()) + 0.0  # + 0.0 turns the -0.0 of an all-zero sum into 0.0
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -254,26 +255,22 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return shannon_entropy(rho.spectrum())
 
 
+def _label_probs(p: Distribution, labels) -> np.ndarray:
+    """p_i at the distinct labels, in ascending label order."""
+    idx = np.unique(np.asarray(list(labels), dtype=int))
+    if idx.size and (idx[0] < 0 or idx[-1] >= p.n):
+        raise ValidationError("labels out of range")
+    return p.probs[idx]
+
+
 def restricted_entropy(p: Distribution, labels) -> float:
     """-sum_{i in labels} p_i log2 p_i (an unnormalized partial entropy)."""
-    idx = np.asarray(sorted(set(int(i) for i in labels)), dtype=int)
-    if idx.size == 0:
-        return 0.0
-    if idx.min() < 0 or idx.max() >= p.n:
-        raise ValidationError("labels out of range")
-    v = p.probs[idx]
-    nz = v[v > 0]
-    return float(-(nz * np.log2(nz)).sum())
+    return shannon_entropy(_label_probs(p, labels))
 
 
 def weight(p: Distribution, labels) -> float:
     """Total probability mass sum_{i in labels} p_i."""
-    idx = np.asarray(sorted(set(int(i) for i in labels)), dtype=int)
-    if idx.size == 0:
-        return 0.0
-    if idx.min() < 0 or idx.max() >= p.n:
-        raise ValidationError("labels out of range")
-    return float(p.probs[idx].sum())
+    return float(_label_probs(p, labels).sum())
 
 
 @dataclass(frozen=True)
@@ -294,16 +291,15 @@ def split_heavy_light(p: Distribution, beta: float) -> SplitReport:
     if not (0.0 < beta <= 1.0):
         raise ValidationError("beta must be in (0, 1]")
     mask = p.probs >= beta
-    heavy = tuple(int(i) for i in np.nonzero(mask)[0])
-    light = tuple(int(i) for i in np.nonzero(~mask)[0])
+    p_heavy, p_light = p.probs[mask], p.probs[~mask]
     return SplitReport(
         beta=beta,
-        heavy=heavy,
-        light=light,
-        heavy_weight=weight(p, heavy),
-        light_weight=weight(p, light),
-        heavy_entropy=restricted_entropy(p, heavy),
-        light_entropy=restricted_entropy(p, light),
+        heavy=tuple(np.flatnonzero(mask).tolist()),
+        light=tuple(np.flatnonzero(~mask).tolist()),
+        heavy_weight=float(p_heavy.sum()),
+        light_weight=float(p_light.sum()),
+        heavy_entropy=shannon_entropy(p_heavy),
+        light_entropy=shannon_entropy(p_light),
     )
 
 
@@ -403,7 +399,7 @@ def gen_two_point_vs_spread_pair(n: int, eps: float) -> tuple[Distribution, Dist
     return dp, dq, rep
 
 
-def gen_collision_pair(n: int, gamma: float, size_cap: int = 1 << 22) -> tuple[Distribution, Distribution, SeparationReport]:
+def gen_collision_pair(n: int, gamma: float) -> tuple[Distribution, Distribution, SeparationReport]:
     """Uniform over N = n*M labels versus uniform over a subset of size M = n^(1/gamma^2).
 
     The subset size is rounded to the nearest integer >= 2; the realized
@@ -414,8 +410,8 @@ def gen_collision_pair(n: int, gamma: float, size_cap: int = 1 << 22) -> tuple[D
                               f"got n={n}, gamma={gamma}")
     m = max(2, round(n ** (1.0 / gamma**2)))
     big = n * m
-    if big > size_cap:
-        raise ValidationError(f"instance size {big} exceeds cap {size_cap}")
+    if big > COLLISION_SIZE_CAP:
+        raise ValidationError(f"instance size {big} exceeds cap {COLLISION_SIZE_CAP}")
     dp = Distribution.uniform(big)
     q = np.zeros(big)
     q[:m] = 1.0 / m
@@ -434,12 +430,12 @@ def gen_collision_pair(n: int, gamma: float, size_cap: int = 1 << 22) -> tuple[D
     return dp, dq, rep
 
 
-def gen_lower_bound_pair(kind: str, n: int, param: float, **kw):
+def gen_lower_bound_pair(kind: str, n: int, param: float):
     """Dispatch over the three hard-instance families."""
     if kind == "near_deterministic":
         return gen_near_deterministic_pair(n, param)
     if kind == "two_point_vs_spread":
         return gen_two_point_vs_spread_pair(n, param)
     if kind == "collision":
-        return gen_collision_pair(n, param, **kw)
+        return gen_collision_pair(n, param)
     raise ValidationError(f"unknown instance kind {kind!r}")

@@ -140,10 +140,7 @@ class FrequencyVector:
         return len(self.values)
 
     def counts(self) -> np.ndarray:
-        c = np.zeros(self.n, dtype=np.int64)
-        for v in self.values:
-            c[v] += 1
-        return c
+        return np.bincount(np.asarray(self.values, dtype=np.int64), minlength=self.n)
 
     def induced_distribution(self) -> Distribution:
         """Empirical distribution counts/m (normalized by the vector length)."""
@@ -181,8 +178,8 @@ class ProjectedUnitaryEncoding:
     """A projected block of a unitary, alpha-scaled: block has SVD sigma/alpha.
 
     `block` is a compressed dense form (may be None for spectral
-    representations); `sigma` lists the encoded singular values (already the
-    block's, i.e. true value / alpha).
+    representations); `sigma` lists the encoded singular values in descending
+    order (already the block's, i.e. true value / alpha).
     """
 
     sigma: np.ndarray
@@ -208,13 +205,11 @@ def projected_encoding_classical(oracle: PurifiedOracle) -> ProjectedUnitaryEnco
     d_a, n = oracle.register_dims
     u = oracle.prepared_state().reshape(d_a, n)
     block = np.zeros((d_a, n, n), dtype=complex)
-    for i in range(n):
-        block[:, i, i] = u[:, i]
+    i = np.arange(n)
+    block[:, i, i] = u
     block = block.reshape(d_a * n, n)
     sigma = np.linalg.svd(block, compute_uv=False)
-    return ProjectedUnitaryEncoding(
-        sigma=np.sort(sigma)[::-1], alpha=1.0, block=block, oracle=oracle,
-    )
+    return ProjectedUnitaryEncoding(sigma=sigma, alpha=1.0, block=block, oracle=oracle)
 
 
 def projected_encoding_quantum(oracle: PurifiedOracle) -> ProjectedUnitaryEncoding:
@@ -230,9 +225,7 @@ def projected_encoding_quantum(oracle: PurifiedOracle) -> ProjectedUnitaryEncodi
     psi = oracle.prepared_state().reshape(oracle.register_dims)
     block = psi.conj() / math.sqrt(n)
     sigma = np.linalg.svd(block, compute_uv=False)
-    return ProjectedUnitaryEncoding(
-        sigma=np.sort(sigma)[::-1], alpha=math.sqrt(n), block=block, oracle=oracle,
-    )
+    return ProjectedUnitaryEncoding(sigma=sigma, alpha=math.sqrt(n), block=block, oracle=oracle)
 
 
 def block_encoding_density_swap(oracle: PurifiedOracle) -> ProjectedUnitaryEncoding:
@@ -242,9 +235,7 @@ def block_encoding_density_swap(oracle: PurifiedOracle) -> ProjectedUnitaryEncod
     psi = oracle.prepared_state().reshape(oracle.register_dims)
     block = psi @ psi.conj().T
     sigma = np.linalg.svd(block, compute_uv=False)
-    return ProjectedUnitaryEncoding(
-        sigma=np.sort(sigma)[::-1], alpha=1.0, block=block, oracle=oracle,
-    )
+    return ProjectedUnitaryEncoding(sigma=sigma, alpha=1.0, block=block, oracle=oracle)
 
 
 def swap_encoding_dense_unitary(oracle: PurifiedOracle) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import DensityMatrix, Distribution, ValidationError, shannon_entropy, von_neumann_entropy
+from .dists import DensityMatrix, Distribution, ValidationError, shannon_entropy
 from .encodings import (
     ProjectedUnitaryEncoding,
     PurifiedOracle,
@@ -249,21 +249,20 @@ class EstimateReport:
 
 
 def _resolve_encoding(source):
-    """Map a distribution / density matrix / oracle onto (encoding, H_true)."""
+    """Map a distribution / density matrix / oracle onto (encoding, H_true).
+
+    An oracle becomes its projected encoding, and the entropy of an encoding
+    is that of its encoded spectrum, so an oracle's input is decomposed once,
+    by the encoding's SVD.
+    """
     if isinstance(source, Distribution):
         return spectral_encoding_classical(source), shannon_entropy(source)
     if isinstance(source, DensityMatrix):
         spec = source.spectrum()
         return spectral_encoding_quantum(spec), shannon_entropy(spec)
     if isinstance(source, PurifiedOracle):
-        if source.kind == "quantum":
-            enc = projected_encoding_quantum(source)
-            h = von_neumann_entropy(DensityMatrix(source.reduced_state()))
-        else:
-            enc = projected_encoding_classical(source)
-            red = np.clip(np.real(np.diag(source.reduced_state())), 0.0, None)
-            h = shannon_entropy(red / red.sum())
-        return enc, h
+        source = (projected_encoding_quantum if source.kind == "quantum"
+                  else projected_encoding_classical)(source)
     if isinstance(source, ProjectedUnitaryEncoding):
         p = np.square(source.true_values())
         p /= p.sum()

@@ -25,6 +25,7 @@ from qentropy import (
     query_ledger,
     query_scaling_sweep,
     random_distribution,
+    restricted_entropy,
     shannon_entropy,
     spectral_encoding_quantum,
 )
@@ -156,6 +157,18 @@ def test_high_entropy_distribution_hits_target():
 
 def run_cli(args):
     return main(args)
+
+
+def test_zero_entropy_is_positive_zero(capsys):
+    # -sum p log2 p over terms that are all +0.0 is -0.0 unless the sum adds 0.0
+    point = Distribution.point_mass(4)
+    values = [shannon_entropy(point), shannon_entropy(np.array([])),
+              restricted_entropy(point, []), restricted_entropy(point, [1, 2])]
+    for command in ("estimate", "baseline"):
+        assert run_cli([command, "--gen", "point:n=64", "--gamma", "2"]) == 0
+        values.append(json.loads(capsys.readouterr().out)["h_true"])
+    assert [math.copysign(1.0, v) for v in values] == [1.0] * 6
+    assert values == [0.0] * 6
 
 
 # numbers that sit outside most parameters' ranges, drawn next to valid ones

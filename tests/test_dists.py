@@ -344,6 +344,8 @@ def test_constructors_name_bad_sizes_and_labels():
     for gamma in (math.nan, math.inf, 1.0, 1e200):
         with pytest.raises(ValidationError, match="gamma"):
             gen_collision_pair(64, gamma)
+    with pytest.raises(ValidationError, match="exceeds cap 4194304"):
+        gen_collision_pair(2**21, 1.01)  # checked before any of its n * M labels is built
 
 
 def test_near_deterministic_pair():

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qentropy import (
     DensityMatrix,
@@ -14,12 +15,15 @@ from qentropy import (
     build_purified_oracle_classical,
     build_purified_oracle_quantum,
     estimate_entropy,
+    plan_estimate,
     projected_encoding_classical,
     projected_encoding_quantum,
+    shannon_entropy,
     spectral_encoding_classical,
     spectral_encoding_quantum,
     swap_encoding_dense_unitary,
     verify_encoding,
+    von_neumann_entropy,
 )
 
 
@@ -88,6 +92,7 @@ def test_frequency_oracle_counts():
     orc = build_frequency_oracle(vec)
     assert orc.unitarity_residual() < 1e-12
     red = orc.reduced_state()
+    assert vec.counts().tolist() == [1, 2, 0, 3]
     want = np.array([1, 2, 0, 3]) / 6.0
     assert np.allclose(np.diag(red), want, atol=1e-14)
     assert np.allclose(vec.induced_distribution().probs, want, atol=1e-15)
@@ -196,5 +201,70 @@ def test_oracle_at_n128_matches_spectral_route(route):
     params = EstimatorParams(n=n, gamma=2.0)
     got = estimate_entropy(orc, params, mode="sampled", seed=3)
     want = estimate_entropy(spectral, params, mode="sampled", seed=3)
+    assert got.h_tilde == want.h_tilde
+    assert got.ledger == want.ledger
+
+
+def test_quantum_oracle_estimate_decomposes_its_input_once(monkeypatch):
+    # the encoding's SVD is the only decomposition: the true entropy is read
+    # off the encoded spectrum, not off a rebuilt reduced density matrix
+    rho = DensityMatrix.random(8, np.random.default_rng(3))
+    orc = build_purified_oracle_quantum(rho)
+    h = von_neumann_entropy(rho)
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__",
+                        spy("DensityMatrix", DensityMatrix.__post_init__))
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    rep = estimate_entropy(orc, EstimatorParams(n=8, gamma=1.5), mode="sampled", seed=1)
+    assert calls == []
+    assert abs(rep.h_true - h) < 1e-12
+    # the spies are reachable: validating a matrix and building its oracle pass through them
+    build_purified_oracle_quantum(DensityMatrix(rho.mat))
+    assert calls == ["DensityMatrix", "eigvalsh", "eigh"]
+
+
+def _oracle_and_spectral_route(kind, n, seed, extra):
+    """(oracle, its spectral-route source, that source's own entropy)."""
+    rng = np.random.default_rng(seed)
+    if kind == "classical":
+        p = Distribution.dirichlet(n, rng)
+        return build_purified_oracle_classical(p), p, shannon_entropy(p)
+    if kind == "frequency":
+        # every label appears: a label of count 0 gets a round-off singular value,
+        # not 0, and a light mass of ~1e-32 in place of 0 draws another QAE outcome
+        vec = FrequencyVector(tuple(rng.permutation([*range(n), *rng.integers(0, n, extra)])
+                                    .tolist()), n)
+        p = vec.induced_distribution()
+        return build_frequency_oracle(vec), p, shannon_entropy(p)
+    rho = DensityMatrix.random(n, rng)
+    return build_purified_oracle_quantum(rho), rho, von_neumann_entropy(rho)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["classical", "frequency", "quantum"]), n=st.integers(2, 16),
+       seed=st.integers(0, 2**16), extra=st.integers(0, 32), gamma=st.floats(1.2, 2.5))
+def test_oracle_estimate_matches_its_source_and_the_spectral_route(kind, n, seed, extra, gamma):
+    orc, source, h = _oracle_and_spectral_route(kind, n, seed, extra)
+    params = EstimatorParams(n=n, gamma=gamma)
+    try:
+        plan = plan_estimate(orc, params)
+    except ValidationError:  # gamma too large for this n: both routes reject it
+        with pytest.raises(ValidationError):
+            plan_estimate(source, params)
+        return
+    assert abs(plan.h_true - h) < 1e-12
+    assert np.all(np.diff(plan.enc.sigma) <= 0.0)  # numpy's SVD returns them descending
+    spectral = plan_estimate(source, params)
+    # a p_i on the SVE grid's rounding edge may round up on one route and down on the other
+    assume(np.array_equal(plan.heavy_flags, spectral.heavy_flags))
+    got, want = plan.run("sampled", seed, 3), spectral.run("sampled", seed, 3)
     assert got.h_tilde == want.h_tilde
     assert got.ledger == want.ledger
