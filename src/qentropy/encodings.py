@@ -132,8 +132,10 @@ class FrequencyVector:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValidationError("frequency vector must be non-empty")
-        if any(not (0 <= v < self.n) for v in self.values):
-            raise ValidationError("labels out of range")
+        labels = np.asarray(self.values)
+        if (labels.ndim != 1 or labels.dtype.kind not in "iu"
+                or labels.min() < 0 or labels.max() >= self.n):
+            raise ValidationError(f"labels must be integers in [0, {self.n})")
 
     @property
     def m(self) -> int:
@@ -157,9 +159,8 @@ def build_frequency_oracle(vec: FrequencyVector) -> PurifiedOracle:
     if m * n > DENSE_ORACLE_CAP:
         raise ValidationError(f"frequency oracle needs m*n <= {DENSE_ORACLE_CAP}")
     v = np.zeros(m * n, dtype=complex)
-    for j, lab in enumerate(vec.values):
-        # amplitude sqrt(c/m) * 1/sqrt(c) = 1/sqrt(m) at (position j, label lab)
-        v[j * n + lab] = 1.0 / math.sqrt(m)
+    # amplitude sqrt(c/m) * 1/sqrt(c) = 1/sqrt(m) at (position j, label vec[j])
+    v[np.arange(m) * n + np.asarray(vec.values, dtype=np.int64)] = 1.0 / math.sqrt(m)
     return PurifiedOracle(
         reflector=_householder_completion(v),
         dim=v.size,

@@ -12,8 +12,13 @@ powers below 2^-511 to 0 near |x| = 1, so high degrees run no subnormal
 arithmetic; the powers that the flush would zero are never formed.  Each chunk
 forms only the leading blocks that the rest cannot move: near |x| = 1 a
 wide-block polynomial keeps one block, and the result is exact; elsewhere the
-dropped blocks lie below the rounding of the result.  `certify` evaluates once,
-at the distinct |x| of its grids on [-1, 1] and on [delta, 1].
+dropped blocks lie below the rounding of the result.  A chunk that keeps one
+block also forms only the leading power rows that the rest cannot move, up to
+128 of them, and its product reads only those columns; the result is the same
+byte for byte, as BLAS sums a reduction that short in one run, while longer
+ones are split where the BLAS build and thread count say.  The binomial series
+tests its stop rule once per chunk of terms.  `certify` evaluates once, at the
+distinct |x| of its grids on [-1, 1] and on [delta, 1].
 """
 from __future__ import annotations
 
@@ -86,11 +91,24 @@ class TaylorPolynomial:
     MIN_ROWS = 128.  At J = 1 the result is exact: the last Horner step
     returns s_0 + z * acc_1, and fl(s + t) = s for a normal s when
     |t| < 2^-55 |s|.  At J > 1 the dropped blocks are below 2^-55 |poly(x)|,
-    so the result is within rounding of the full evaluation.  The product
-    forms at least MIN_PRODUCT_ROWS block sums: at b = 642, products of 6 or
-    fewer rows summed in another order and moved 1,898 of 16,384 heavy values
-    by up to 18 ulps against every block kept; with 8 rows none moved by more
-    than 1.
+    so the result is within rounding of the full evaluation.  A chunk with
+    J = 1 forms only the first K power rows, and its product reads only K
+    columns of `blocks`: K is the fewest rows with
+        (1 + kappa) (Y^K sum_{K<=i<b} |c_i| + sum_{j>=1} U_j Y^(jb)) < 2^-55 L,
+    Y^K clamped as Y^(jb) is, or K = b when that K exceeds EVAL_CHUNK //
+    MIN_ROWS = 128.  Each row the product skips adds a term below half an ulp
+    of s_0, which cannot move it while the product sums its reduction in one
+    run from k = 0.  BLAS splits a long reduction into runs whose length
+    depends on the build and the thread count (about b / 2 for OpenBLAS at
+    b = 642): there a K of 378 or 484 moved 309 of the 14,257 values of the
+    certification grid.  The OpenBLAS kernels for SkylakeX, SapphireRapids,
+    Haswell, Zen and Sandybridge, on one thread and on two, split no
+    reduction of 128 terms, and with the cap no value moved.  The rows a
+    short chunk skips keep whatever an earlier chunk left in them.
+    The product forms at least MIN_PRODUCT_ROWS block sums: at b = 642,
+    products of 6 or fewer rows summed in another order and moved 1,898 of
+    16,384 heavy values by up to 18 ulps against every block kept; with 8
+    rows none moved by more than 1.
     The last bits of poly(x) can depend on the chunk a point falls in, so on
     where it sits in x: the flush and J are per chunk, and a product of fewer
     rows may be summed in another order.
@@ -132,7 +150,7 @@ class TaylorPolynomial:
         y -= 1.0  # in place where ravel is a view: only x's shape is read again
         # Paterson-Stockmeyer blocking: sum_k c_k y^k = sum_j z^j B_j(y) with
         # z = y^b and B_j the degree-(b-1) block j, so one GEMM forms the block
-        # sums and Horner runs over at most K ~ sqrt(degree) blocks, not degree terms
+        # sums and Horner runs over at most n_blocks ~ sqrt(degree) blocks, not degree terms
         n_blocks, b = self.blocks.shape
         rows = min(y.size, max(MIN_ROWS, EVAL_CHUNK // b))
         # only a chunk holding some 0 < |y| < 2^(-511/b) can have a power up to
@@ -141,7 +159,9 @@ class TaylorPolynomial:
         out = np.empty_like(y)
         near = np.flatnonzero(np.abs(y, out=out) < FLUSH_BELOW ** (1.0 / b))
         flush_chunks = set((near[y[near] != 0.0] // rows).tolist()) if near.size else ()
-        kept = _blocks_kept(self, out, rows).tolist()  # J of each chunk, from |y|
+        kept = _blocks_kept(self, out, rows)        # J of each chunk, from |y|
+        kept_rows = _rows_kept(self, out, rows, kept).tolist()  # K of each chunk
+        kept = kept.tolist()
         formed = [min(n_blocks, max(j, MIN_PRODUCT_ROWS)) for j in kept]
         # buffers reused by every chunk: fresh ones per chunk cost more than the work
         powers = np.empty((b, rows))                # row k: y^k over the chunk
@@ -154,8 +174,10 @@ class TaylorPolynomial:
             if yc.size < rows:                      # the last, shorter chunk
                 powers, sums, z = powers[:, :yc.size], sums[:, :yc.size], z[:yc.size]
             flush = chunk in flush_chunks
+            k_rows = kept_rows[chunk]               # the product reads rows [0, k_rows) alone
             # rows [lo, hi) to scan in the last flush, from |y|, which `out` still holds
             lo, hi = _flush_band(b, out[start:start + yc.size]) if flush else (b, b)
+            lo, hi = min(lo, k_rows), min(hi, k_rows)
             w = 1
             while w < hi:                           # rows [w, 2w) = rows [0, w) * y^w
                 step = min(w, hi - w)
@@ -164,10 +186,11 @@ class TaylorPolynomial:
                     _flush_tiny(z)
                 np.multiply(powers[:step], z, out=powers[w:w + step])
                 w += step
-            powers[hi:] = 0.0                       # rows the flush would zero whole
+            powers[hi:k_rows] = 0.0                 # rows the flush would zero whole
             if lo < hi:  # y^k times a flushed y^w (k < w) is normal or 0; drop those below 2^-511
                 _flush_tiny(powers[lo:hi], scratch=sums[:hi - lo])
-            np.matmul(self.blocks[:formed[chunk]], powers, out=sums[:formed[chunk]])
+            np.matmul(self.blocks[:formed[chunk], :k_rows], powers[:k_rows],
+                      out=sums[:formed[chunk]])
             if kept[chunk] > 1:
                 np.multiply(powers[b - 1], yc, out=z)   # z = y^b
                 if flush:
@@ -195,16 +218,54 @@ def _blocks_kept(poly: TaylorPolynomial, abs_y: np.ndarray, rows: int) -> np.nda
 
     One pass takes every chunk's largest |y|, and one (chunks x n_blocks) array
     gives every J.  abs_y is read only above the floor on b, so block widths up
-    to 128 make no extra pass over the points.  Y^(jb) is clamped at 2^-500, an
-    over-estimate, so nothing underflows, and Y at 1, where J = n_blocks anyway,
-    so nothing overflows.
+    to 128 make no extra pass over the points.
+    """
+    norms = poly.block_norms
+    starts = np.arange(0, abs_y.size, rows)
+    if poly.blocks.shape[1] <= EVAL_CHUNK // MIN_ROWS:
+        return np.full(starts.size, norms.size)
+    y_max = np.maximum.reduceat(abs_y, starts)
+    tails, bound = _block_tails(poly, y_max)
+    fits = tails * (1.0 + ROUNDING_MARGIN) < bound[:, None]  # False, then True: tails fall in J
+    kept = 1 + np.argmax(fits, axis=1)
+    kept[(y_max >= 1.0) | (bound < 2.0**-1000) | ~fits[:, -1]] = norms.size
+    return kept
+
+
+def _rows_kept(poly: TaylorPolynomial, abs_y: np.ndarray, rows: int,
+               kept: np.ndarray) -> np.ndarray:
+    """Power rows K to form in each chunk of `rows` points of |y| = abs_y; see TaylorPolynomial.
+
+    `kept` holds each chunk's J.  Only a chunk with J = 1, so with Y < 1 and
+    2^-55 L >= 2^-1000, forms fewer than b rows, and only K <= EVAL_CHUNK //
+    MIN_ROWS; Y^K is clamped at 2^-500 as Y^(jb) is.
+    """
+    b = poly.blocks.shape[1]
+    k_rows = np.full(kept.size, b)
+    one = np.flatnonzero(kept == 1)
+    if b <= EVAL_CHUNK // MIN_ROWS or one.size == 0:
+        return k_rows
+    y_max = np.maximum.reduceat(abs_y, np.arange(0, abs_y.size, rows))[one]
+    tails, bound = _block_tails(poly, y_max)
+    ks = np.arange(1.0, EVAL_CHUNK // MIN_ROWS + 1)
+    row_tails = np.cumsum(np.abs(poly.blocks[0, ::-1]))[::-1][1:ks.size + 1]  # sum_{K<=i<b} |c_i|
+    log_y = np.log2(np.maximum(y_max, 2.0**-500))
+    drop = np.exp2(np.maximum(ks * log_y[:, None], -500.0)) * row_tails + tails[:, :1]
+    fits = drop * (1.0 + ROUNDING_MARGIN) < bound[:, None]  # False, then True: drop falls in K
+    short = fits[:, -1]
+    k_rows[one[short]] = 1 + np.argmax(fits[short], axis=1)
+    return k_rows
+
+
+def _block_tails(poly: TaylorPolynomial, y_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tails, bound) of chunks whose largest |y| is y_max; see TaylorPolynomial.
+
+    tails[:, J - 1] = sum_{j>=J} U_j Y^(jb) and bound = 2^-55 L.  Y^(jb) is
+    clamped at 2^-500, an over-estimate, so nothing underflows, and Y at 1,
+    where J = n_blocks anyway, so nothing overflows.
     """
     norms = poly.block_norms
     b = poly.blocks.shape[1]
-    starts = np.arange(0, abs_y.size, rows)
-    if b <= EVAL_CHUNK // MIN_ROWS:
-        return np.full(starts.size, norms.size)
-    y_max = np.maximum.reduceat(abs_y, starts)
     y_cut = np.minimum(y_max, 1.0)
     log_z = np.array([b * math.log2(max(v, 2.0**-500)) for v in y_cut.tolist()])
     tails = np.exp2(np.maximum(np.arange(1.0, norms.size) * log_z[:, None], -500.0))
@@ -212,11 +273,7 @@ def _blocks_kept(poly: TaylorPolynomial, abs_y: np.ndarray, rows: int) -> np.nda
     tails = np.cumsum(tails[:, ::-1], axis=1)[:, ::-1]  # tails[:, J - 1] = sum_{j>=J} U_j Y^(jb)
     c0 = abs(float(poly.coeffs[0]))
     low = c0 - y_cut * (norms[0] - c0) - tails[:, 0] - ROUNDING_MARGIN * float(norms.sum())
-    bound = 2.0**-55 * low
-    fits = tails * (1.0 + ROUNDING_MARGIN) < bound[:, None]  # False, then True: tails fall in J
-    kept = 1 + np.argmax(fits, axis=1)
-    kept[(y_max >= 1.0) | (bound < 2.0**-1000) | ~fits[:, -1]] = norms.size
-    return kept
+    return tails, 2.0**-55 * low
 
 
 def _flush_band(b: int, abs_y: np.ndarray) -> tuple[int, int]:
@@ -289,8 +346,12 @@ def _binomial_series(c: float, sign: int, delta: float, eps: float,
         terms = (s - ks) / (ks + 1.0)             # binom(s, j+1) / binom(s, j), j in ks
         terms[0] *= last
         np.cumprod(terms, out=terms)              # binom(s, j+1), j in ks
-        stop = norm * (np.abs(terms) * r ** (ks + 1.0) / delta) <= eps
-        hit = int(np.argmax(stop)) if stop.any() else size
+        hit = size
+        # the tested term shrinks by at least r per step, so when the last one fails
+        # with room for the few ulps between scalar and vector powers, every one fails
+        if norm * (abs(float(terms[-1])) * r ** (k + size) / delta) <= eps * (1.0 + 1e-9):
+            stop = norm * (np.abs(terms) * r ** (ks + 1.0) / delta) <= eps
+            hit = int(np.argmax(stop)) if stop.any() else size
         if k + hit > MAX_DEGREE:
             raise ValidationError(f"binomial series of x^{s:.4g} exceeds degree {MAX_DEGREE}")
         if hit < size:

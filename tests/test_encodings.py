@@ -25,6 +25,7 @@ from qentropy import (
     verify_encoding,
     von_neumann_entropy,
 )
+from qentropy.encodings import _householder_completion
 
 
 def rand_dist(n, seed):
@@ -99,8 +100,24 @@ def test_frequency_oracle_counts():
 
 
 def test_frequency_oracle_rejects_bad_labels():
-    with pytest.raises(ValidationError):
-        FrequencyVector((0, 4), 4)
+    # out of range or not integers: rejected at the boundary, not as an IndexError or
+    # TypeError when the oracle is built
+    for values in [(0, 4), (-1, 2), (0, 1.5), (1.0,), ("a",), (0, None), ((0, 1),), (2**70,)]:
+        with pytest.raises(ValidationError, match=r"labels must be integers in \[0, 4\)"):
+            FrequencyVector(values, 4)
+
+
+@pytest.mark.parametrize("values, n", [((0, 1, 1, 3, 3, 3), 4), ((0, 2, 2, 4, 1), 5),
+                                       ((0,), 1), ((2, 0, 1, 0), 3), (tuple(range(32)), 32)])
+def test_frequency_oracle_state_matches_one_write_per_label(values, n):
+    # the prepared state, built by one indexed write, equals one write per label
+    m = len(values)
+    v = np.zeros(m * n, dtype=complex)
+    for j, lab in enumerate(values):
+        v[j * n + lab] = 1.0 / np.sqrt(m)
+    want = _householder_completion(v)
+    got = build_frequency_oracle(FrequencyVector(values, n)).reflector
+    assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
 def test_spectral_shortcut_matches_dense_classical():

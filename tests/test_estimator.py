@@ -221,6 +221,10 @@ GOLDEN = {
     "additive_zipf256": (
         lambda: Distribution.zipf(256, 1.0), 0.25, "sampled", 2, 1,
         (6.221401425857255, 22456644258, 2, 25437, 4232, 4247)),
+    # degrees 91k, block width 302: chunks near |x| = 1 keep one block and few rows
+    "additive_zipf4096": (
+        lambda: Distribution.zipf(4096, 1.0), 0.25, "sampled", 2, 3,
+        (8.751955648083843, 4716022538463, 6, 1646541, 91405, 91544)),
     "dense_oracle8": (
         lambda: build_purified_oracle_classical(Distribution.dirichlet(8, np.random.default_rng(5))),
         _params(8), "bound_only", 6, 3,

@@ -532,6 +532,128 @@ def test_flush_band_keeps_every_bit_at_its_rounding_edge(row):
     assert got == want
 
 
+@contextlib.contextmanager
+def _spy_rows_kept():
+    # yields the (b, K) of every chunk evaluated inside the block
+    seen, rule = [], logapprox._rows_kept
+
+    def spy(poly, abs_y, rows, kept):
+        counts = rule(poly, abs_y, rows, kept)
+        seen.extend((poly.blocks.shape[1], int(k)) for k in counts)
+        return counts
+    with _patched("_rows_kept", spy):
+        yield seen
+
+
+def _form_every_row():
+    # every chunk evaluated inside the block forms all b power rows
+    return _patched("_rows_kept",
+                    lambda poly, abs_y, rows, kept: np.full(kept.size, poly.blocks.shape[1]))
+
+
+def _series_or_spike(kind, b, extra, c, build, row, spike):
+    # b * b + extra coefficients, so the block width is b: a Taylor series cut short,
+    # or c_0 = 1 with one spike at `row` of block 0 and another at row 0 of block 1,
+    # where dropping the spike's row moves the value by far more than an ulp
+    size = b * b + extra
+    if kind == "series":
+        poly = build(c, 2e-5, 1e-9)
+        assume(poly.coeffs.size >= size)
+        return _truncated(poly, size - 1)
+    coeffs = np.zeros(size)
+    coeffs[[0, row, b]] = 1.0, spike, spike
+    return TaylorPolynomial(coeffs=coeffs, c=1.0, sign=1, delta=1.0, normalization=1.0,
+                            eps_cert=0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["series", "spike"]), b=st.integers(129, 800),
+       extra=st.integers(0, 2 * 800), c=st.floats(0.02, 0.98),
+       build=st.sampled_from([taylor_poly_pos, taylor_poly_neg]), row=st.integers(1, 127),
+       spike=st.floats(1e-3, 1.0), top=st.floats(0.3, 0.95),
+       order=st.permutations(range(4)), seed=st.integers(0, 2**32 - 1))
+@example(kind="series", b=642, extra=0, c=0.3, build=taylor_poly_pos, row=1, spike=1.0,
+         top=0.92, order=[0, 1, 2, 3], seed=0)  # K from 256 to 512 moves bits at this b
+def test_short_chunks_keep_every_bit_of_every_row(kind, b, extra, c, build, row, spike, top,
+                                                  order, seed):
+    # chunks of 256 points uniform on [-1, 1] (every block, every row), crowded at
+    # |x| -> 1 (one block, few rows), uniform on [0.5, 1] and in a narrow band of
+    # |y| below `top` (one block, rows up to the cap and past it), in any order: a
+    # chunk forming K < b rows returns the same bytes as one forming all b, and some
+    # chunk does.  Only chunks whose |y| all sit near their largest show a wrong K
+    poly = _series_or_spike(kind, b, min(extra, 2 * b), c, build, row, spike)
+    rng = np.random.default_rng(seed)
+    sets = [rng.uniform(-1.0, 1.0, 512), 1.0 - np.geomspace(1e-15, 0.5, 512),
+            rng.uniform(0.5, 1.0, 512), 1.0 - top * rng.uniform(0.98, 1.0, 512)]
+    x = np.concatenate([sets[i] for i in order])
+    with np.errstate(under="raise"):
+        with _spy_rows_kept() as seen:
+            got = poly(x)
+        with _form_every_row():
+            want = poly(x)
+    assert got.tobytes() == want.tobytes()
+    assert any(k < b for _, k in seen)
+    assert all(k == b or k <= EVAL_CHUNK // MIN_ROWS for _, k in seen)
+
+
+def _binomial_series_per_term(c, sign, delta, eps, norm):
+    # the series builder as it was before the stop test ran once per chunk: the
+    # vector test over every chunk of terms
+    s, r = sign * c, 1.0 - delta
+    chunks, last, k, size = [np.ones(1)], 1.0, 0, 64
+    while True:
+        ks = np.arange(k, k + size, dtype=float)
+        terms = (s - ks) / (ks + 1.0)
+        terms[0] *= last
+        np.cumprod(terms, out=terms)
+        stop = norm * (np.abs(terms) * r ** (ks + 1.0) / delta) <= eps
+        hit = int(np.argmax(stop)) if stop.any() else size
+        if hit < size:
+            chunks.append(terms[:hit])
+            k += hit
+            b_next = float(terms[hit])
+            break
+        chunks.append(terms)
+        k += size
+        last = float(terms[-1])
+        size = min(2 * size, logapprox.SERIES_CHUNK)
+    coeffs = norm * np.concatenate(chunks)
+    scale = max(1.0, float(np.abs(coeffs).sum()))
+    coeffs /= scale
+    return coeffs, norm / scale, norm * abs(b_next) * r ** (k + 1) / delta / scale
+
+
+def _assert_series_matches_per_term_stop_test(c, sign, delta, eps):
+    norm = 0.5 if sign > 0 else 0.5 * delta**c
+    poly = logapprox._binomial_series(c, sign, delta, eps, norm)
+    coeffs, normalization, eps_cert = _binomial_series_per_term(c, sign, delta, eps, norm)
+    assert poly.coeffs.tobytes() == coeffs.tobytes() and poly.degree == coeffs.size - 1
+    assert (poly.eps_cert.hex(), poly.normalization.hex()) == (eps_cert.hex(), normalization.hex())
+    return poly
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(0.001, 1.0), sign=st.sampled_from([1, -1]), log_delta=st.floats(-4.0, 0.0),
+       log_eps=st.floats(-14.0, -1.0))
+@example(c=0.5, sign=1, log_delta=0.0, log_eps=-4.0)  # delta = 1: degree 0
+@example(c=1.0, sign=-1, log_delta=-4.0, log_eps=-14.0)  # slowest-falling terms
+def test_series_stop_test_per_chunk_matches_the_per_term_test(c, sign, log_delta, log_eps):
+    # the stop test runs over a chunk only when its last term is within 1 + 1e-9 of eps:
+    # the tested terms shrink by at least r = 1 - delta per step, so no earlier term of
+    # a chunk whose last term fails can pass, and every coefficient and bound is kept
+    _assert_series_matches_per_term_stop_test(c, sign, 10.0**log_delta, 10.0**log_eps)
+
+
+@pytest.mark.parametrize("logn", [12, 14])
+def test_additive_series_matches_the_per_term_stop_test(logn):
+    # the degree-91k and degree-412k series of additive mode at n = 4096 and 16384
+    d = derive_params(EstimatorParams(n=2**logn, gamma=1.0 + 0.25 / logn, eps=0.25 / (4 * logn)),
+                      m_bits=logn)
+    for sign in (1, -1):
+        poly = _assert_series_matches_per_term_stop_test(d.a, sign, d.delta, d.eps2)
+        assert poly.degree == (d.poly_pos if sign > 0 else d.poly_neg).degree > 90_000
+
+
 def test_series_chunk_changes_no_coefficient(monkeypatch):
     # the binomial series runs one cumulative product across its chunks, so the chunk
     # size changes no bit of the degree-91k coefficients of additive mode at n = 4096
@@ -542,6 +664,37 @@ def test_series_chunk_changes_no_coefficient(monkeypatch):
         assert built.degree > 90_000 and wide.degree == built.degree
         assert built.coeffs.tobytes() == wide.coeffs.tobytes()
         assert (built.eps_cert, built.normalization) == (wide.eps_cert, wide.normalization)
+
+
+# certify's (sup_error, max_abs) of the additive polynomials at n = 2^logn, by sign,
+# recorded with every row formed (OpenBLAS 0.3.31, one thread).  Their last bits move
+# with the BLAS kernel and thread count (at n = 16384 two threads read 2^-54 higher),
+# so they bound the report within 4 ulps of sum |c_k|, and the same process's
+# every-row evaluation pins it bit for bit
+ADDITIVE_CERT_REPORTS = {
+    (12, 1): ("0x1.8bc9p-31", "0x1p-1"),
+    (12, -1): ("0x1.8bf0dap-31", "0x1.00f35144fd826p-1"),
+    (14, 1): ("0x1.f81f2p-34", "0x1p-1"),
+    (14, -1): ("0x1.f8394p-34", "0x1.00ba1e914e915p-1"),
+}
+
+
+@pytest.mark.parametrize("logn", [12, 14])
+def test_additive_certify_reports_match_recorded_values(logn):
+    d = derive_params(EstimatorParams(n=2**logn, gamma=1.0 + 0.25 / logn, eps=0.25 / (4 * logn)),
+                      m_bits=logn)
+    for poly in (d.poly_pos, d.poly_neg):
+        with _spy_rows_kept() as seen:
+            rep = certify(poly, CERT_GRID_POINTS)
+        with _form_every_row():
+            full = certify(poly, CERT_GRID_POINTS)
+        b = poly.blocks.shape[1]
+        assert sum(k < b for _, k in seen) >= 40  # of 56 chunks
+        assert (rep.sup_error.hex(), rep.max_abs.hex()) == (full.sup_error.hex(),
+                                                            full.max_abs.hex())
+        sup_error, max_abs = map(float.fromhex, ADDITIVE_CERT_REPORTS[logn, poly.sign])
+        tol = _ulps_of_coeff_sum(poly)
+        assert abs(rep.sup_error - sup_error) <= tol and abs(rep.max_abs - max_abs) <= tol
 
 
 @pytest.mark.parametrize("logn", [12, 14])
