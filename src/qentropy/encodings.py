@@ -11,6 +11,12 @@ purified access, scale sqrt(n)), or the density matrix itself (SWAP trick,
 scale 1).  For sizes where dense matrices are impractical a spectral
 representation (singular value list only) is provided and is bit-compatible
 with the dense path.
+
+A probability of 0 encodes an exact 0 on both routes.  The spectral route
+sets eigenvalues below EIG_CLAMP = 1e-12 to 0 (`DensityMatrix.spectrum`), and
+so does `build_purified_oracle_quantum`, so both see the same spectrum.  The
+dense encoders set to 0 every singular value below a round-off floor of order
+d u sigma_max (`_singular_values`), where the SVD would leave about 1e-16.
 """
 from __future__ import annotations
 
@@ -19,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import DensityMatrix, Distribution, ValidationError
+from .dists import EIG_CLAMP, DensityMatrix, Distribution, ValidationError
 
 DENSE_ORACLE_CAP = 16384     # max total dimension of an oracle's registers
 DENSE_UNITARY_CAP = 1024     # max total dimension for fully dense 3-register checks
+SVD_FLOOR = 8 * 2.0**-53     # times d * sigma_max: smaller singular values of a dense block are 0
 
 
 def _householder_completion(v: np.ndarray) -> np.ndarray | None:
@@ -110,7 +117,7 @@ def build_purified_oracle_quantum(rho: DensityMatrix) -> PurifiedOracle:
     if n * n > DENSE_ORACLE_CAP:
         raise ValidationError(f"quantum oracle needs n^2 <= {DENSE_ORACLE_CAP}")
     ev, vec = np.linalg.eigh(rho.mat)
-    ev = np.where(ev < 1e-12, 0.0, ev)
+    ev = np.where(ev < EIG_CLAMP, 0.0, ev)  # the spectral route's clamp: one spectrum on both
     ev = ev / ev.sum()
     psi = (vec * np.sqrt(ev)).astype(complex)  # psi[s, i] = sqrt(p_i) <s|psi_i>
     return PurifiedOracle(
@@ -193,6 +200,22 @@ class ProjectedUnitaryEncoding:
         return self.alpha * self.sigma
 
 
+def _singular_values(block: np.ndarray, dim: int) -> np.ndarray:
+    """Singular values of `block`, descending, with those below the round-off floor set to 0.
+
+    The floor is SVD_FLOOR * d * sigma_max, d the oracle's dimension.  The
+    SVD's backward error is of order d u ||block||_2, u = 2^-53 (Golub and
+    Van Loan, Matrix Computations, sec. 8.6), and by Weyl's inequality no
+    singular value moves by more; the prepared state adds a few u per entry,
+    which the factor 8 covers at small d (2u at d = 2 was measured).  So a
+    value below the floor is read as an exact 0.  At d = 16,384 the floor
+    clears probabilities near 2e-22, far below any that a test input holds.
+    """
+    sigma = np.linalg.svd(block, compute_uv=False)
+    sigma[sigma < SVD_FLOOR * dim * sigma[0]] = 0.0
+    return sigma
+
+
 def projected_encoding_classical(oracle: PurifiedOracle) -> ProjectedUnitaryEncoding:
     """Three-register projected encoding of a classical oracle; sigma_i = sqrt(p_i).
 
@@ -209,7 +232,7 @@ def projected_encoding_classical(oracle: PurifiedOracle) -> ProjectedUnitaryEnco
     i = np.arange(n)
     block[:, i, i] = u
     block = block.reshape(d_a * n, n)
-    sigma = np.linalg.svd(block, compute_uv=False)
+    sigma = _singular_values(block, oracle.dim)
     return ProjectedUnitaryEncoding(sigma=sigma, alpha=1.0, block=block, oracle=oracle)
 
 
@@ -225,7 +248,7 @@ def projected_encoding_quantum(oracle: PurifiedOracle) -> ProjectedUnitaryEncodi
     n, _ = oracle.register_dims
     psi = oracle.prepared_state().reshape(oracle.register_dims)
     block = psi.conj() / math.sqrt(n)
-    sigma = np.linalg.svd(block, compute_uv=False)
+    sigma = _singular_values(block, oracle.dim)
     return ProjectedUnitaryEncoding(sigma=sigma, alpha=math.sqrt(n), block=block, oracle=oracle)
 
 
@@ -235,7 +258,7 @@ def block_encoding_density_swap(oracle: PurifiedOracle) -> ProjectedUnitaryEncod
         raise ValidationError("expected a quantum-layout oracle (ancilla second)")
     psi = oracle.prepared_state().reshape(oracle.register_dims)
     block = psi @ psi.conj().T
-    sigma = np.linalg.svd(block, compute_uv=False)
+    sigma = _singular_values(block, oracle.dim)
     return ProjectedUnitaryEncoding(sigma=sigma, alpha=1.0, block=block, oracle=oracle)
 
 

@@ -7,18 +7,14 @@ power functions are realized as truncated binomial (Taylor) series around
 x = 1, stored in the shifted basis (powers of x - 1) and evaluated at |x|,
 so they act as even functions of the singular value.  The builder scales
 each series to the QSVT bound |poly| <= 1 on [-1, 1]; `certify` only measures.
-Evaluation is blocked, one matrix product per chunk of points, and flushes
-powers below 2^-511 to 0 near |x| = 1, so high degrees run no subnormal
-arithmetic; the powers that the flush would zero are never formed.  Each chunk
-forms only the leading blocks that the rest cannot move: near |x| = 1 a
-wide-block polynomial keeps one block, and the result is exact; elsewhere the
-dropped blocks lie below the rounding of the result.  A chunk that keeps one
-block also forms only the leading power rows that the rest cannot move, up to
-128 of them, and its product reads only those columns; the result is the same
-byte for byte, as BLAS sums a reduction that short in one run, while longer
-ones are split where the BLAS build and thread count say.  The binomial series
-tests its stop rule once per chunk of terms.  `certify` evaluates once, at the
-distinct |x| of its grids on [-1, 1] and on [delta, 1].
+A polynomial of block width above 128, which only additive mode builds, returns
+its target in closed form wherever the series' dropped tail is provably below
+2^-55 of it, so within rounding.  Every other point is evaluated in blocks, one
+matrix product per chunk of points, with powers below 2^-511 flushed to 0 near
+|x| = 1, so high degrees run no subnormal arithmetic; the powers that the flush
+would zero are never formed.  The binomial series tests its stop rule once per
+chunk of terms.  `certify` evaluates once, at the distinct |x| of its grids on
+[-1, 1] and on [delta, 1].
 """
 from __future__ import annotations
 
@@ -34,8 +30,8 @@ EVAL_CHUNK = 2**15      # entries of a chunk's power matrix (256 KB) while b <= 
 MIN_ROWS = 256          # fewest points per chunk: above b = 128 the matrix grows with b
 FLUSH_BELOW = 2.0**-511  # smaller powers become 0: two survivors multiply to a normal
 SERIES_CHUNK = 2**13    # most binomial-series terms built per cumulative product
-MIN_PRODUCT_ROWS = 8    # fewest block sums a chunk forms: fewer rows are summed in another order
-ROUNDING_MARGIN = 1e-9  # relative rounding of block sums, powers and Horner steps, with room
+ROUNDING_MARGIN = 1e-9  # relative rounding of powers and logarithms, with room
+CLOSED_FORM_ABOVE = 128  # block widths above this take the closed form where the tail allows
 
 
 def choose_exponent(gamma: float, beta: float) -> float:
@@ -68,11 +64,30 @@ class TaylorPolynomial:
 
     coeffs[k] multiplies (|x| - 1)^k; evaluation at |x| makes the realized
     function even in x, matching how it is applied to singular values.
-    Evaluation is blocked (Paterson-Stockmeyer): the coefficients split into
+    `normalization` is the scale of the approximated target: poly(x) is
+    within eps_cert of normalization * x^(sign*c) on [delta, 1].
+
+    Closed form.  A series built by `_binomial_series` keeps next_coeff =
+    |c_(D+1)|, the first coefficient it drops (D = degree); the default inf
+    marks a polynomial that is not such a series (`dataclasses.replace` keeps
+    the field).  As |binom(s, k+1) / binom(s, k)| = |s - k| / (k + 1) <= 1 for
+    |s| <= 1, at y = |x| - 1 with |y| < 1 the dropped tail is at most
+    next_coeff |y|^(D+1) / (1 - |y|).  Where, with kappa = ROUNDING_MARGIN,
+        (1 + kappa) next_coeff |y|^(D+1) / (1 - |y|) < 2^-55 |target(|x|)|,
+    tested in log2 so nothing underflows or divides by 0, the polynomial is
+    within rounding of its target, and the point returns target(|x|).  The
+    rule applies only above block width CLOSED_FORM_ABOVE = 128, so only the
+    additive polynomials take it: at n = 4096 every heavy label and all but 38
+    of the 14,257 certification points.  Below that width a faster call would
+    lengthen the traced benchmark runs, whose post-processing grows with the
+    square of the call count.  Every other point takes the blocked path,
+    together with the rest and as if alone.
+
+    Blocked path (Paterson-Stockmeyer): the coefficients split into
     b ~ sqrt(degree) blocks of b terms, the rows of `blocks` (built once, with
     `coeffs` a read-only view of it), the block sums s_j come from one matrix
     product per chunk of max(MIN_ROWS, EVAL_CHUNK // b) points, and Horner runs
-    over the blocks with z = y^b, y = |x| - 1.  In a chunk holding some
+    over every block with z = y^b.  In a chunk holding some
     0 < |y| < 2^(-511/b), each power y^k and z is flushed to 0 below
     FLUSH_BELOW, so the powers and their products stay normal; a dropped term
     is below FLUSH_BELOW * sum |coeffs|.  There, with Y and y_min the chunk's
@@ -81,39 +96,8 @@ class TaylorPolynomial:
     they are set to 0 and never formed, and the rows k < lo, where
     y_min^k (1 - kappa) >= FLUSH_BELOW, hold nothing to flush, so the last
     flush scans rows [lo, hi) alone: the matrix is the same byte for byte.
-    A chunk keeps only its leading J block sums, J from the chunk's largest
-    |y| = Y and the per-block coefficient sums U_j = sum_i |c_(jb+i)| in
-    `block_norms`.  With kappa = ROUNDING_MARGIN,
-        L = |c_0| - Y (U_0 - |c_0|) - sum_{j>=1} U_j Y^(jb) - kappa sum U
-    is a lower bound on |s_0| and on |poly(x)|, and J is the fewest blocks
-    with (1 + kappa) sum_{j>=J} U_j Y^(jb) < 2^-55 L and 2^-55 L >= 2^-1000;
-    J = n_blocks when none fits, when Y >= 1, or while b <= EVAL_CHUNK //
-    MIN_ROWS = 128.  At J = 1 the result is exact: the last Horner step
-    returns s_0 + z * acc_1, and fl(s + t) = s for a normal s when
-    |t| < 2^-55 |s|.  At J > 1 the dropped blocks are below 2^-55 |poly(x)|,
-    so the result is within rounding of the full evaluation.  A chunk with
-    J = 1 forms only the first K power rows, and its product reads only K
-    columns of `blocks`: K is the fewest rows with
-        (1 + kappa) (Y^K sum_{K<=i<b} |c_i| + sum_{j>=1} U_j Y^(jb)) < 2^-55 L,
-    Y^K clamped as Y^(jb) is, or K = b when that K exceeds EVAL_CHUNK //
-    MIN_ROWS = 128.  Each row the product skips adds a term below half an ulp
-    of s_0, which cannot move it while the product sums its reduction in one
-    run from k = 0.  BLAS splits a long reduction into runs whose length
-    depends on the build and the thread count (about b / 2 for OpenBLAS at
-    b = 642): there a K of 378 or 484 moved 309 of the 14,257 values of the
-    certification grid.  The OpenBLAS kernels for SkylakeX, SapphireRapids,
-    Haswell, Zen and Sandybridge, on one thread and on two, split no
-    reduction of 128 terms, and with the cap no value moved.  The rows a
-    short chunk skips keep whatever an earlier chunk left in them.
-    The product forms at least MIN_PRODUCT_ROWS block sums: at b = 642,
-    products of 6 or fewer rows summed in another order and moved 1,898 of
-    16,384 heavy values by up to 18 ulps against every block kept; with 8
-    rows none moved by more than 1.
-    The last bits of poly(x) can depend on the chunk a point falls in, so on
-    where it sits in x: the flush and J are per chunk, and a product of fewer
-    rows may be summed in another order.
-    `normalization` is the scale of the approximated target: poly(x) is
-    within eps_cert of normalization * x^(sign*c) on [delta, 1].
+    The last bits of a blocked value can depend on the chunk a point falls
+    in, as the flush is per chunk.
     """
 
     coeffs: np.ndarray
@@ -122,8 +106,8 @@ class TaylorPolynomial:
     delta: float
     normalization: float
     eps_cert: float
+    next_coeff: float = math.inf  # |c_(degree+1)| of a truncated series; inf: not a series
     blocks: np.ndarray = field(init=False, repr=False)
-    block_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         size = self.coeffs.size
@@ -132,11 +116,8 @@ class TaylorPolynomial:
         blocks.reshape(-1)[:size] = self.coeffs
         blocks.setflags(write=False)
         coeffs = blocks.reshape(-1)[:size]           # a read-only view: the caller's array is copied
-        norms = np.add.reduceat(np.abs(coeffs), np.arange(0, size, b))
-        norms.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "block_norms", norms)
 
     @property
     def degree(self) -> int:
@@ -146,60 +127,13 @@ class TaylorPolynomial:
         x = np.abs(np.asarray(x, dtype=float))
         if x.size == 0:  # no heavy labels: nothing to evaluate
             return x
-        y = x.ravel()
-        y -= 1.0  # in place where ravel is a view: only x's shape is read again
-        # Paterson-Stockmeyer blocking: sum_k c_k y^k = sum_j z^j B_j(y) with
-        # z = y^b and B_j the degree-(b-1) block j, so one GEMM forms the block
-        # sums and Horner runs over at most n_blocks ~ sqrt(degree) blocks, not degree terms
-        n_blocks, b = self.blocks.shape
-        rows = min(y.size, max(MIN_ROWS, EVAL_CHUNK // b))
-        # only a chunk holding some 0 < |y| < 2^(-511/b) can have a power up to
-        # y^b below FLUSH_BELOW; there powers are flushed, so their products stay normal.
-        # `out` holds |y| first: a fresh array that size costs more than the test
-        out = np.empty_like(y)
-        near = np.flatnonzero(np.abs(y, out=out) < FLUSH_BELOW ** (1.0 / b))
-        flush_chunks = set((near[y[near] != 0.0] // rows).tolist()) if near.size else ()
-        kept = _blocks_kept(self, out, rows)        # J of each chunk, from |y|
-        kept_rows = _rows_kept(self, out, rows, kept).tolist()  # K of each chunk
-        kept = kept.tolist()
-        formed = [min(n_blocks, max(j, MIN_PRODUCT_ROWS)) for j in kept]
-        # buffers reused by every chunk: fresh ones per chunk cost more than the work
-        powers = np.empty((b, rows))                # row k: y^k over the chunk
-        # row j: B_j(y) over the chunk, and |powers| while a chunk is flushed
-        sums = np.empty((max(*formed, b if flush_chunks else 0), rows))
-        z = np.empty(rows)
-        powers[0] = 1.0
-        for chunk, start in enumerate(range(0, y.size, rows)):
-            yc = y[start:start + rows]
-            if yc.size < rows:                      # the last, shorter chunk
-                powers, sums, z = powers[:, :yc.size], sums[:, :yc.size], z[:yc.size]
-            flush = chunk in flush_chunks
-            k_rows = kept_rows[chunk]               # the product reads rows [0, k_rows) alone
-            # rows [lo, hi) to scan in the last flush, from |y|, which `out` still holds
-            lo, hi = _flush_band(b, out[start:start + yc.size]) if flush else (b, b)
-            lo, hi = min(lo, k_rows), min(hi, k_rows)
-            w = 1
-            while w < hi:                           # rows [w, 2w) = rows [0, w) * y^w
-                step = min(w, hi - w)
-                np.multiply(powers[w - 1], yc, out=z)
-                if flush:
-                    _flush_tiny(z)
-                np.multiply(powers[:step], z, out=powers[w:w + step])
-                w += step
-            powers[hi:k_rows] = 0.0                 # rows the flush would zero whole
-            if lo < hi:  # y^k times a flushed y^w (k < w) is normal or 0; drop those below 2^-511
-                _flush_tiny(powers[lo:hi], scratch=sums[:hi - lo])
-            np.matmul(self.blocks[:formed[chunk], :k_rows], powers[:k_rows],
-                      out=sums[:formed[chunk]])
-            if kept[chunk] > 1:
-                np.multiply(powers[b - 1], yc, out=z)   # z = y^b
-                if flush:
-                    _flush_tiny(z)
-            acc = sums[kept[chunk] - 1]
-            for j in range(kept[chunk] - 2, -1, -1):
-                acc *= z
-                acc += sums[j]
-            out[start:start + yc.size] = acc
+        flat = x.ravel()
+        closed = _closed_form(self, flat)
+        out = np.empty_like(flat)
+        out[closed] = self.target(flat[closed])
+        rest = ~closed
+        if rest.any():
+            out[rest] = _blocked(self, flat[rest] - 1.0)
         return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def target(self, x):
@@ -213,67 +147,70 @@ def _block_width(size: int) -> int:
     return max(1, math.isqrt(size))
 
 
-def _blocks_kept(poly: TaylorPolynomial, abs_y: np.ndarray, rows: int) -> np.ndarray:
-    """Leading blocks J to evaluate in each chunk of `rows` points of |y| = abs_y; see TaylorPolynomial.
+def _closed_form(poly: TaylorPolynomial, abs_x: np.ndarray) -> np.ndarray:
+    """Mask of the points |x| = abs_x that return the target; see TaylorPolynomial."""
+    closed = np.zeros(abs_x.size, dtype=bool)
+    if poly.blocks.shape[1] <= CLOSED_FORM_ABOVE or poly.next_coeff == math.inf:
+        return closed
+    abs_y = np.abs(abs_x - 1.0)
+    near = np.flatnonzero(abs_y < 1.0)              # so 0 < |x| < 2
+    abs_y = abs_y[near]
+    log_tail = (poly.coeffs.size * np.log2(np.maximum(abs_y, 2.0**-1022)) - np.log2(1.0 - abs_y)
+                + math.log2(max(poly.next_coeff, 2.0**-1074)) + math.log2(1.0 + ROUNDING_MARGIN))
+    log_target = math.log2(poly.normalization) + poly.sign * poly.c * np.log2(abs_x[near])
+    closed[near[log_tail < log_target - 55.0]] = True
+    return closed
 
-    One pass takes every chunk's largest |y|, and one (chunks x n_blocks) array
-    gives every J.  abs_y is read only above the floor on b, so block widths up
-    to 128 make no extra pass over the points.
+
+def _blocked(poly: TaylorPolynomial, y: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] y^k at each point of y = |x| - 1, a nonempty 1-d array; see TaylorPolynomial.
+
+    Returns a fresh array.  Paterson-Stockmeyer blocking: sum_k c_k y^k =
+    sum_j z^j B_j(y) with z = y^b and B_j the degree-(b-1) block j, so one
+    GEMM forms the block sums and Horner runs over n_blocks ~ sqrt(degree)
+    blocks, not degree terms.
     """
-    norms = poly.block_norms
-    starts = np.arange(0, abs_y.size, rows)
-    if poly.blocks.shape[1] <= EVAL_CHUNK // MIN_ROWS:
-        return np.full(starts.size, norms.size)
-    y_max = np.maximum.reduceat(abs_y, starts)
-    tails, bound = _block_tails(poly, y_max)
-    fits = tails * (1.0 + ROUNDING_MARGIN) < bound[:, None]  # False, then True: tails fall in J
-    kept = 1 + np.argmax(fits, axis=1)
-    kept[(y_max >= 1.0) | (bound < 2.0**-1000) | ~fits[:, -1]] = norms.size
-    return kept
-
-
-def _rows_kept(poly: TaylorPolynomial, abs_y: np.ndarray, rows: int,
-               kept: np.ndarray) -> np.ndarray:
-    """Power rows K to form in each chunk of `rows` points of |y| = abs_y; see TaylorPolynomial.
-
-    `kept` holds each chunk's J.  Only a chunk with J = 1, so with Y < 1 and
-    2^-55 L >= 2^-1000, forms fewer than b rows, and only K <= EVAL_CHUNK //
-    MIN_ROWS; Y^K is clamped at 2^-500 as Y^(jb) is.
-    """
-    b = poly.blocks.shape[1]
-    k_rows = np.full(kept.size, b)
-    one = np.flatnonzero(kept == 1)
-    if b <= EVAL_CHUNK // MIN_ROWS or one.size == 0:
-        return k_rows
-    y_max = np.maximum.reduceat(abs_y, np.arange(0, abs_y.size, rows))[one]
-    tails, bound = _block_tails(poly, y_max)
-    ks = np.arange(1.0, EVAL_CHUNK // MIN_ROWS + 1)
-    row_tails = np.cumsum(np.abs(poly.blocks[0, ::-1]))[::-1][1:ks.size + 1]  # sum_{K<=i<b} |c_i|
-    log_y = np.log2(np.maximum(y_max, 2.0**-500))
-    drop = np.exp2(np.maximum(ks * log_y[:, None], -500.0)) * row_tails + tails[:, :1]
-    fits = drop * (1.0 + ROUNDING_MARGIN) < bound[:, None]  # False, then True: drop falls in K
-    short = fits[:, -1]
-    k_rows[one[short]] = 1 + np.argmax(fits[short], axis=1)
-    return k_rows
-
-
-def _block_tails(poly: TaylorPolynomial, y_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tails, bound) of chunks whose largest |y| is y_max; see TaylorPolynomial.
-
-    tails[:, J - 1] = sum_{j>=J} U_j Y^(jb) and bound = 2^-55 L.  Y^(jb) is
-    clamped at 2^-500, an over-estimate, so nothing underflows, and Y at 1,
-    where J = n_blocks anyway, so nothing overflows.
-    """
-    norms = poly.block_norms
-    b = poly.blocks.shape[1]
-    y_cut = np.minimum(y_max, 1.0)
-    log_z = np.array([b * math.log2(max(v, 2.0**-500)) for v in y_cut.tolist()])
-    tails = np.exp2(np.maximum(np.arange(1.0, norms.size) * log_z[:, None], -500.0))
-    tails *= norms[1:]
-    tails = np.cumsum(tails[:, ::-1], axis=1)[:, ::-1]  # tails[:, J - 1] = sum_{j>=J} U_j Y^(jb)
-    c0 = abs(float(poly.coeffs[0]))
-    low = c0 - y_cut * (norms[0] - c0) - tails[:, 0] - ROUNDING_MARGIN * float(norms.sum())
-    return tails, 2.0**-55 * low
+    n_blocks, b = poly.blocks.shape
+    rows = min(y.size, max(MIN_ROWS, EVAL_CHUNK // b))
+    # only a chunk holding some 0 < |y| < 2^(-511/b) can have a power up to
+    # y^b below FLUSH_BELOW; there powers are flushed, so their products stay normal.
+    # `out` holds |y| first: a fresh array that size costs more than the test
+    out = np.empty_like(y)
+    near = np.flatnonzero(np.abs(y, out=out) < FLUSH_BELOW ** (1.0 / b))
+    flush_chunks = set((near[y[near] != 0.0] // rows).tolist()) if near.size else ()
+    # buffers reused by every chunk: fresh ones per chunk cost more than the work
+    powers = np.empty((b, rows))                    # row k: y^k over the chunk
+    sums = np.empty((n_blocks, rows))               # row j: B_j(y), and |powers| while flushed
+    z = np.empty(rows)
+    powers[0] = 1.0
+    for chunk, start in enumerate(range(0, y.size, rows)):
+        yc = y[start:start + rows]
+        if yc.size < rows:                          # the last, shorter chunk
+            powers, sums, z = powers[:, :yc.size], sums[:, :yc.size], z[:yc.size]
+        flush = chunk in flush_chunks
+        # rows [lo, hi) to scan in the last flush, from |y|, which `out` still holds
+        lo, hi = _flush_band(b, out[start:start + yc.size]) if flush else (b, b)
+        w = 1
+        while w < hi:                               # rows [w, 2w) = rows [0, w) * y^w
+            step = min(w, hi - w)
+            np.multiply(powers[w - 1], yc, out=z)
+            if flush:
+                _flush_tiny(z)
+            np.multiply(powers[:step], z, out=powers[w:w + step])
+            w += step
+        powers[hi:] = 0.0                           # rows the flush would zero whole
+        if lo < hi:  # y^k times a flushed y^w (k < w) is normal or 0; drop those below 2^-511
+            _flush_tiny(powers[lo:hi], scratch=sums[:hi - lo])
+        np.matmul(poly.blocks, powers, out=sums)
+        np.multiply(powers[b - 1], yc, out=z)       # z = y^b
+        if flush:
+            _flush_tiny(z)
+        acc = sums[n_blocks - 1]
+        for j in range(n_blocks - 2, -1, -1):
+            acc *= z
+            acc += sums[j]
+        out[start:start + yc.size] = acc
+    return out
 
 
 def _flush_band(b: int, abs_y: np.ndarray) -> tuple[int, int]:
@@ -369,6 +306,7 @@ def _binomial_series(c: float, sign: int, delta: float, eps: float,
     return TaylorPolynomial(
         coeffs=coeffs, c=c, sign=sign, delta=delta, normalization=norm / scale,
         eps_cert=norm * abs(b_next) * r ** (k + 1) / delta / scale,
+        next_coeff=norm * abs(b_next) / scale,
     )
 
 
@@ -394,8 +332,9 @@ class CertReport:
 def _cert_grid(delta: float, m: int) -> np.ndarray:
     """Distinct |x| of the uniform and Chebyshev grids of m points on [-1, 1] and on [delta, 1].
 
-    Sorted in descending order, so the points near |x| = 1, where a chunk keeps
-    few blocks and forms few powers, fill the first chunks of an evaluation.
+    Sorted in descending order, so neighbours in |x| share a chunk of the
+    blocked evaluation, whose flush is per chunk; the order fixes the last bits
+    of the report.
     """
     k = np.arange(1, m + 1)
     grids = []

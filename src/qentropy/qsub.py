@@ -147,8 +147,10 @@ def _draw_phase_estimation(theta: float, rounds: int, rng: np.random.Generator) 
     x = rounds * theta
     j0 = math.floor(x)
     f = x - j0
-    if abs(math.sin(math.pi * f / rounds)) <= 1e-15:  # on the grid, as in _phase_estimation
-        return j0 % rounds
+    near = round(x)
+    # on the grid, from above or below, as in _phase_estimation: no random number is drawn
+    if abs(math.sin(math.pi * (x - near) / rounds)) <= 1e-15:
+        return near % rounds
     atom0, atom1, tail_up, tail_down = 1.0 / f**2, 1.0 / (1.0 - f) ** 2, 1.0 / (1.0 - f), 1.0 / f
     total = atom0 + atom1 + tail_up + tail_down
     while True:

@@ -248,26 +248,37 @@ def test_quantum_oracle_estimate_decomposes_its_input_once(monkeypatch):
     assert calls == ["DensityMatrix", "eigvalsh", "eigh"]
 
 
+def _rank_deficient(n, rank, rng):
+    """A density matrix of the given rank: Dirichlet eigenvalues in a random eigenbasis."""
+    ev = np.zeros(n)
+    ev[:rank] = rng.dirichlet(np.ones(rank))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return DensityMatrix((q * ev) @ q.conj().T)
+
+
 def _oracle_and_spectral_route(kind, n, seed, extra):
     """(oracle, its spectral-route source, that source's own entropy)."""
     rng = np.random.default_rng(seed)
-    if kind == "classical":
-        p = Distribution.dirichlet(n, rng)
+    if kind in ("classical", "point"):
+        p = (Distribution.dirichlet(n, rng) if kind == "classical"
+             else Distribution.point_mass(n, int(rng.integers(n))))
         return build_purified_oracle_classical(p), p, shannon_entropy(p)
     if kind == "frequency":
-        # every label appears: a label of count 0 gets a round-off singular value,
-        # not 0, and a light mass of ~1e-32 in place of 0 draws another QAE outcome
-        vec = FrequencyVector(tuple(rng.permutation([*range(n), *rng.integers(0, n, extra)])
-                                    .tolist()), n)
+        # labels drawn at random, so some may go unused: a label of count 0 must
+        # encode 0 on both routes, or a light mass of ~1e-32 draws another QAE outcome
+        vec = FrequencyVector(tuple(rng.integers(0, n, 1 + extra).tolist()), n)
         p = vec.induced_distribution()
         return build_frequency_oracle(vec), p, shannon_entropy(p)
-    rho = DensityMatrix.random(n, rng)
+    # "rank_deficient" runs from rank 1, a pure state, to n - 1
+    rho = (DensityMatrix.random(n, rng) if kind == "quantum"
+           else _rank_deficient(n, int(rng.integers(1, n)), rng))
     return build_purified_oracle_quantum(rho), rho, von_neumann_entropy(rho)
 
 
-@settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(["classical", "frequency", "quantum"]), n=st.integers(2, 16),
-       seed=st.integers(0, 2**16), extra=st.integers(0, 32), gamma=st.floats(1.2, 2.5))
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["classical", "point", "frequency", "quantum", "rank_deficient"]),
+       n=st.integers(2, 16), seed=st.integers(0, 2**16), extra=st.integers(0, 32),
+       gamma=st.floats(1.2, 2.5))
 def test_oracle_estimate_matches_its_source_and_the_spectral_route(kind, n, seed, extra, gamma):
     orc, source, h = _oracle_and_spectral_route(kind, n, seed, extra)
     params = EstimatorParams(n=n, gamma=gamma)
@@ -285,3 +296,36 @@ def test_oracle_estimate_matches_its_source_and_the_spectral_route(kind, n, seed
     got, want = plan.run("sampled", seed, 3), spectral.run("sampled", seed, 3)
     assert got.h_tilde == want.h_tilde
     assert got.ledger == want.ledger
+    # the SVD rounds the last bits of an encoded spectrum, and so of its entropy, but
+    # an entropy of 0 is +0.0 on both routes
+    if h == 0.0:
+        assert got.h_true.hex() == want.h_true.hex() == "0x0.0p+0"
+
+
+def test_point_mass_frequency_vector_estimates_zero_on_both_routes():
+    # label 3 of 4, the others unused: the oracle route once encoded label 0 as 2.2e-16
+    # and the top value as 1 - 2^-52, and read h_true = 5.1e-30 and h_tilde = 0.00837
+    vec = FrequencyVector((3,), 4)
+    params = EstimatorParams(n=4, gamma=1.2)
+    for source in (build_frequency_oracle(vec), vec.induced_distribution()):
+        rep = estimate_entropy(source, params, mode="sampled", seed=2, repetitions=3)
+        assert (rep.h_tilde.hex(), rep.h_true.hex()) == ("0x0.0p+0", "0x0.0p+0")
+
+
+def test_dense_encoders_encode_a_zero_probability_as_zero():
+    # below the SVD's round-off floor d u sigma_max a singular value is 0: a label of
+    # probability 0, an unused frequency label and a zero eigenvalue encode 0
+    rho = build_purified_oracle_quantum(_rank_deficient(4, 2, np.random.default_rng(0)))
+    point = build_frequency_oracle(FrequencyVector((3,), 4))
+    cases = [
+        (projected_encoding_classical(build_purified_oracle_classical(
+            Distribution(np.array([0.5, 0.0, 0.25, 0.25])))), 1),
+        (projected_encoding_classical(build_frequency_oracle(FrequencyVector((3, 0, 3, 2), 4))),
+         1),
+        (projected_encoding_classical(point), 3),
+        (projected_encoding_quantum(rho), 2),
+        (block_encoding_density_swap(rho), 2),
+    ]
+    for enc, zeros in cases:
+        assert np.count_nonzero(enc.sigma == 0.0) == zeros
+        assert np.all(enc.sigma[enc.sigma > 0.0] > 0.1)

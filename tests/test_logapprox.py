@@ -9,9 +9,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qentropy import Distribution, EstimatorParams, derive_params, logapprox, plan_additive
 from qentropy.estimator import CERT_GRID_POINTS
 from qentropy.logapprox import (
-    EVAL_CHUNK,
-    MIN_ROWS,
-    ROUNDING_MARGIN,
     TaylorPolynomial,
     _cert_grid,
     certify,
@@ -223,11 +220,14 @@ EDGE_POINTS = np.array([*(1.0 - 10.0**-k for k in range(1, 17)), 1.0 - 2.0**-53,
 
 
 def _assert_matches_horner(poly, x):
-    with np.errstate(under="raise"):  # no power or block sum is computed as a subnormal
-        got = poly(x)
+    # with the closed form and on the blocked path alone
+    want = _horner_long_double(poly, x)
     # blocked evaluation sums in another order: allow 64 ulps of sum |c_k|
     tol = 64 * np.finfo(float).eps * np.abs(poly.coeffs).sum()
-    assert np.max(np.abs(got - _horner_long_double(poly, x))) <= tol
+    for path in (contextlib.nullcontext(), _no_closed_form()):
+        with path, np.errstate(under="raise"):  # no power or block sum is a subnormal
+            got = poly(x)
+        assert np.max(np.abs(got - want)) <= tol
 
 
 # degrees 15, 16 and 17 sit around a block width squared (b = 4, b^2 = 16)
@@ -252,7 +252,7 @@ def test_blocked_evaluation_matches_horner_on_additive_certify_grid():
     for poly in (d.poly_pos, d.poly_neg):
         assert poly.degree > 90_000
         grid = _cert_grid(poly.delta, CERT_GRID_POINTS)
-        with np.errstate(under="raise"):  # the whole grid, powers flushed below 2^-511
+        with _no_closed_form(), np.errstate(under="raise"):  # the whole grid, flushed
             poly(np.concatenate((grid, EDGE_POINTS)))
         _assert_matches_horner(poly, np.concatenate((grid[::8], EDGE_POINTS)))
 
@@ -266,22 +266,6 @@ def test_blocked_evaluation_matches_horner_without_underflow(c, delta, log_eps, 
     # degrees up to about 18k, so some block widths exceed 128 and take MIN_ROWS points
     poly = build(c, delta, 10.0**log_eps)
     _assert_matches_horner(poly, np.concatenate((np.linspace(-1.0, 1.0, 601), EDGE_POINTS)))
-
-
-def _block_sums_and_horner(poly, y):
-    # the blocked evaluation in full, written independently of TaylorPolynomial.__call__:
-    # powers by a running product, every block sum from one product, Horner over all blocks
-    b = math.isqrt(poly.coeffs.size)
-    n_blocks = -(-poly.coeffs.size // b)
-    blocks = np.zeros(n_blocks * b)
-    blocks[:poly.coeffs.size] = poly.coeffs
-    powers = np.cumprod(np.vstack((np.ones_like(y), np.broadcast_to(y, (b - 1, y.size)))), axis=0)
-    sums = blocks.reshape(n_blocks, b) @ powers
-    z = powers[b - 1] * y
-    acc = sums[n_blocks - 1].copy()
-    for j in range(n_blocks - 2, -1, -1):
-        acc = acc * z + sums[j]
-    return sums, acc
 
 
 @contextlib.contextmanager
@@ -299,189 +283,112 @@ def _patched(name, fn):
     assert calls, f"logapprox.{name} was never called"
 
 
+def _no_closed_form():
+    # every point evaluated inside the block takes the blocked path
+    return _patched("_closed_form", lambda poly, abs_x: np.zeros(abs_x.size, dtype=bool))
+
+
 @contextlib.contextmanager
-def _spy_blocks_kept():
-    # yields the (polynomial, J) of every chunk evaluated inside the block
-    kept, rule = [], logapprox._blocks_kept
+def _spy_closed_form():
+    # yields the (degree, points, points on the blocked path) of every call inside the block
+    seen, rule = [], logapprox._closed_form
 
-    def spy(poly, abs_y, rows):
-        counts = rule(poly, abs_y, rows)
-        kept.extend((poly, int(j)) for j in counts)
-        return counts
-    with _patched("_blocks_kept", spy):
-        yield kept
-
-
-def _keep_every_block():
-    # every chunk evaluated inside the block keeps every block
-    return _patched("_blocks_kept",
-                    lambda poly, abs_y, rows: np.full(-(-abs_y.size // rows), poly.block_norms.size))
+    def spy(poly, abs_x):
+        closed = rule(poly, abs_x)
+        seen.append((poly.degree, abs_x.size, int(closed.size - closed.sum())))
+        return closed
+    with _patched("_closed_form", spy):
+        yield seen
 
 
-def _kept(poly, abs_y):
-    # J at each |y| of abs_y, every point a chunk of its own
-    return logapprox._blocks_kept(poly, np.atleast_1d(np.asarray(abs_y, dtype=float)), 1)
+def _wide_series_points(rng):
+    # uniform on [-1, 1], crowded at |x| -> 1 and at |x| -> 0, in (1, 2), at +-2 and at
+    # EDGE_POINTS, each with either sign
+    x = np.concatenate((rng.uniform(-1.0, 1.0, 200), 1.0 - np.geomspace(1e-15, 0.5, 100),
+                        np.geomspace(1e-15, 0.5, 100), rng.uniform(1.0, 2.0, 60),
+                        [2.0, -2.0], EDGE_POINTS))
+    return x * rng.choice([-1.0, 1.0], x.size)
 
 
-def _blocks_kept_per_chunk(poly, abs_y):
-    # the block rule of TaylorPolynomial, written for one chunk at a time
-    norms = poly.block_norms
-    b = math.isqrt(poly.coeffs.size)
-    if b <= EVAL_CHUNK // MIN_ROWS:
-        return norms.size
-    y_max = float(np.max(abs_y))
-    if y_max >= 1.0:
-        return norms.size
-    log_z = b * math.log2(max(y_max, 2.0**-500))
-    tails = np.exp2(np.maximum(np.arange(1.0, norms.size) * log_z, -500.0))
-    tails *= norms[1:]
-    tails = np.cumsum(tails[::-1])[::-1]
-    c0 = abs(float(poly.coeffs[0]))
-    low = c0 - y_max * (norms[0] - c0) - tails[0] - ROUNDING_MARGIN * float(norms.sum())
-    bound = 2.0**-55 * low
-    fits = tails * (1.0 + ROUNDING_MARGIN) < bound
-    if bound < 2.0**-1000 or not fits[-1]:
-        return norms.size
-    return 1 + int(np.argmax(fits))
-
-
-def _assert_one_pass_matches_per_chunk(poly, x):
-    # the chunks of poly(x): every J of the one pass equals the per-chunk rule's
-    abs_y = np.abs(np.abs(x) - 1.0)
-    rows = min(abs_y.size, max(MIN_ROWS, EVAL_CHUNK // math.isqrt(poly.coeffs.size)))
-    with _spy_blocks_kept() as kept:
-        poly(x)
-    want = [_blocks_kept_per_chunk(poly, abs_y[s:s + rows]) for s in range(0, abs_y.size, rows)]
-    assert [j for _, j in kept] == want
-
-
-def test_one_pass_block_counts_match_the_per_chunk_rule_on_every_certify_grid():
-    wide = 0
-    for n, gamma, eps, alpha, m_bits, _ in DERIVED_CASES:
-        d = derive_params(EstimatorParams(n=n, gamma=gamma, eps=eps), alpha=alpha, m_bits=m_bits)
-        for poly in (d.poly_pos, d.poly_neg):
-            _assert_one_pass_matches_per_chunk(poly, _cert_grid(poly.delta, CERT_GRID_POINTS))
-            wide += math.isqrt(poly.coeffs.size) > 128
-    assert wide == 2
-
-
-@settings(max_examples=15, deadline=None)
-@given(c=st.floats(0.05, 0.95), delta=st.floats(2e-4, 6e-4), log_eps=st.floats(-10.0, -3.0),
-       build=st.sampled_from([taylor_poly_pos, taylor_poly_neg]),
+@settings(max_examples=8, deadline=None)
+@given(c=st.floats(0.02, 0.98), log_delta=st.floats(math.log10(2e-5), -3.0),
+       log_eps=st.floats(-6.0, -2.0), build=st.sampled_from([taylor_poly_pos, taylor_poly_neg]),
        seed=st.integers(0, 2**32 - 1))
-def test_one_pass_block_counts_match_the_per_chunk_rule(c, delta, log_eps, build, seed):
-    # chunks of points spread over [-1.2, 1.2], of points crowded at |x| -> 1, and of both
-    poly = build(c, delta, 10.0**log_eps)
-    assume(math.isqrt(poly.coeffs.size) > 128)
-    rng = np.random.default_rng(seed)
-    x = np.concatenate((rng.uniform(-1.2, 1.2, 1500), 1.0 - np.geomspace(1e-15, 0.5, 1000),
-                        rng.uniform(-1.0, 1.0, 700)))
-    x[1700:1900] = 1.0 - rng.uniform(0.0, 1e-3, 200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _assert_one_pass_matches_per_chunk(poly, x)
+@example(c=0.5, log_delta=math.log10(2e-5), log_eps=-3.0, build=taylor_poly_pos, seed=0)  # b = 161
+@example(c=0.98, log_delta=-4.0, log_eps=-3.0, build=taylor_poly_neg, seed=1)  # degree 61,660
+def test_wide_series_take_the_closed_form_within_rounding(c, log_delta, log_eps, build, seed):
+    # closed-form values lie within 64 ulps of sum |c_k| of long-double Horner, and every
+    # other value is byte-equal to evaluating those points alone on the blocked path
+    poly = build(c, 10.0**log_delta, 10.0**log_eps)
+    # degrees from 16,641 to 150k: the reference loop takes about 3 us per degree, and its
+    # own error grows with the degree (7 ulps of sum |c_k| at 400k, where the closed form
+    # is within 0.3 of a long-double target)
+    assume(math.isqrt(poly.coeffs.size) > 128 and poly.degree <= 150_000)
+    x = _wide_series_points(np.random.default_rng(seed))
+    with np.errstate(all="raise"):
+        got = poly(x)
+        closed = logapprox._closed_form(poly, np.abs(x))
+        with _no_closed_form():
+            alone = poly(x[~closed])
+    assert closed.any() and not closed.all()
+    assert got[~closed].tobytes() == alone.tobytes()
+    tol = 64 * np.finfo(float).eps * np.abs(poly.coeffs).sum()
+    assert np.max(np.abs(got[closed] - _horner_long_double(poly, x[closed]))) <= tol
 
 
-def _assert_one_block_keeps_every_bit(poly):
-    # wherever a chunk keeps one block, the blocks past the first cannot change a bit:
-    # the full Horner result equals block sum 0 of the same product, however BLAS summed
-    # it.  J falls as |y| does, so the points with J = 1 are those with |y| <= r
-    assert _kept(poly, 0.0)[0] == 1
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _kept(poly, mid)[0] == 1 else (lo, mid)
-    r = lo
-    assert 0.0 < r < 1.0
-    edge = r * (1.0 - np.geomspace(1e-15, 0.5, 60))  # the rule is tightest at |y| = r
-    y = np.concatenate((np.linspace(-1.0, 1.0, 201), edge, -edge, [r, -r]))
-    with np.errstate(under="ignore"):
-        sums, acc = _block_sums_and_horner(poly, y)
-    one = _kept(poly, np.abs(y)) == 1
-    assert one.sum() >= 120
-    assert np.array_equal(one, np.abs(y) <= r)
-    assert np.array_equal(acc[one], sums[0][one])
+def test_hand_built_wide_polynomial_never_takes_the_closed_form():
+    # the same coefficients with no next_coeff: every point takes the blocked path
+    series = taylor_poly_neg(0.3, 3e-4, 1e-6)
+    hand = _truncated(series, series.degree)
+    assert math.isqrt(series.coeffs.size) > 128 and hand.next_coeff == math.inf
+    x = _wide_series_points(np.random.default_rng(0))
+    assert logapprox._closed_form(series, np.abs(x)).any()
+    assert not logapprox._closed_form(hand, np.abs(x)).any()
+    with _no_closed_form():
+        want = series(x)
+    assert hand(x).tobytes() == want.tobytes()
 
 
-@settings(max_examples=25, deadline=None)
-@given(c=st.floats(0.05, 0.95), delta=st.floats(2e-4, 6e-4), log_eps=st.floats(-10.0, -3.0),
-       build=st.sampled_from([taylor_poly_pos, taylor_poly_neg]))
-def test_one_kept_block_keeps_every_bit_of_the_full_horner_result(c, delta, log_eps, build):
-    poly = build(c, delta, 10.0**log_eps)
-    assume(math.isqrt(poly.coeffs.size) > 128)
-    _assert_one_block_keeps_every_bit(poly)
-
-
-@settings(max_examples=25, deadline=None)
-@given(b=st.integers(129, 160), c0=st.sampled_from([1.0, -1.0]), head=st.floats(-0.5, 0.5),
-       spike=st.floats(1e-3, 1e3), spike_sign=st.sampled_from([1.0, -1.0]))
-def test_one_kept_block_keeps_every_bit_where_the_rule_is_tight(b, c0, head, spike, spike_sign):
-    # a Taylor tail spreads over many blocks, so |z * acc_1| stays far below the
-    # rule's bound sum_{j>=1} U_j Y^(jb); a lone tail coefficient at k = b meets it,
-    # so a rule even 8x too generous (2^-52 for 2^-55) changes bits at its edge
-    coeffs = np.zeros(b * b)
-    coeffs[[0, 1, b]] = c0, head, spike_sign * spike
-    poly = TaylorPolynomial(coeffs=coeffs, c=1.0, sign=1, delta=1.0, normalization=1.0,
-                            eps_cert=0.0)
-    _assert_one_block_keeps_every_bit(poly)
-
-
-def test_every_block_is_kept_up_to_block_width_128():
-    # block widths up to EVAL_CHUNK // MIN_ROWS = 128 keep every block in every chunk:
-    # the polynomials of mult_zipf_large, vn_spectral and oracle_dense, and a series cut
-    # at b = 128; cut at b = 129 it keeps one block at |x| = 1
-    long = taylor_poly_neg(0.99, 1.5e-3, 1e-12)
-    cut128, cut129 = _truncated(long, 128**2 - 1), _truncated(long, 129**2 - 1)
-    assert _kept(cut129, 0.0)[0] == 1
-    with _spy_blocks_kept() as kept:
-        cut128(np.concatenate((np.linspace(-1.0, 1.0, 4001), [1.0] * 256)))
+def test_closed_form_only_above_block_width_128():
+    # the polynomials of mult_zipf_large, vn_spectral, oracle_dense and the goldens have
+    # block widths up to 128 and take no closed form; the additive ones at n = 4096 do,
+    # and so does a series cut at b = 129, but not one cut at b = 128
+    with _spy_closed_form() as seen:
         for n, gamma, eps, alpha, m_bits, _ in DERIVED_CASES:  # certifies both polynomials
             derive_params(EstimatorParams(n=n, gamma=gamma, eps=eps), alpha=alpha, m_bits=m_bits)
-    narrow = [(poly, j) for poly, j in kept if math.isqrt(poly.coeffs.size) <= 128]
-    assert len({id(poly) for poly, _ in narrow}) == 2 * len(DERIVED_CASES) - 1
-    assert all(j == poly.block_norms.size for poly, j in narrow)
-    wide = {poly.degree for poly, j in kept if math.isqrt(poly.coeffs.size) > 128 and j == 1}
+    assert len(seen) == 2 * len(DERIVED_CASES)
+    wide = {degree for degree, _, _ in seen if math.isqrt(degree + 1) > 128}
     assert wide == {91405, 91544}
+    assert all((blocked < points) == (degree in wide) for degree, points, blocked in seen)
+    long = taylor_poly_neg(0.99, 1.5e-3, 1e-12)
+    for b in (128, 129):
+        cut = dataclasses.replace(long, coeffs=long.coeffs[:b * b].copy(),
+                                  next_coeff=abs(float(long.coeffs[b * b])))
+        assert logapprox._closed_form(cut, np.array([1.0, 0.9])).tolist() == [b > 128] * 2
 
 
-def test_every_block_is_kept_at_abs_x_two_and_beyond():
-    # |x| >= 2 puts |y| >= 1, where no block can be dropped
+def test_closed_form_needs_abs_y_below_one():
+    # |x| = 0 and |x| >= 2 put |y| >= 1, where the tail bound does not hold; inf and nan
+    # raise nothing
     poly = taylor_poly_neg(0.3, 3e-4, 1e-6)
-    assert math.isqrt(poly.coeffs.size) > 128
-    with _spy_blocks_kept() as kept, np.errstate(over="ignore", invalid="ignore"):
-        poly(np.array([2.0, -2.0, 3.5]))
-    assert [j for _, j in kept] == [poly.block_norms.size]
-    assert _kept(poly, [1.0, 2.5, np.inf]).tolist() == [poly.block_norms.size] * 3
+    x = np.array([0.0, -0.0, 2.0, -2.0, 3.5, np.inf, -np.inf, np.nan, 1.0, 0.999])
+    with np.errstate(all="raise"):
+        assert logapprox._closed_form(poly, np.abs(x)).tolist() == [False] * 8 + [True, True]
 
 
-@settings(max_examples=20, deadline=None)
-@given(c=st.floats(0.05, 0.95), delta=st.floats(2e-4, 6e-4), log_eps=st.floats(-10.0, -3.0),
-       build=st.sampled_from([taylor_poly_pos, taylor_poly_neg]),
-       seed=st.integers(0, 2**32 - 1))
-def test_kept_blocks_match_every_block_within_4_ulps(c, delta, log_eps, build, seed):
-    # points spread over [-1, 1], so chunks keep anything from one block to all of them;
-    # every value lies within 4 ulps of sum |c_k| of the same evaluation keeping all
-    poly = build(c, delta, 10.0**log_eps)
-    assume(math.isqrt(poly.coeffs.size) > 128)
-    x = np.random.default_rng(seed).uniform(-1.0, 1.0, 3000)
-    x[::7] = 1.0 - np.geomspace(1e-12, 1.0, x[::7].size)
-    got = poly(x)
-    with _keep_every_block():
-        want = poly(x)
-    assert np.max(np.abs(got - want)) <= _ulps_of_coeff_sum(poly)
-
-
-def test_additive_plan_keeps_few_blocks():
-    # the n = 4096 additive plan, degrees 91k: a heavy chunk of the benchmark's permuted
-    # Zipf input, sigma down to 0.0052, keeps at most 20 of about 303 blocks, and most
-    # chunks of the certification grid keep one
+def test_additive_plan_sends_few_points_to_the_blocked_path():
+    # the n = 4096 additive plan, degrees 91k: every heavy label of the benchmark's
+    # permuted Zipf input takes the closed form, and all but 38 of the 14,257 points
+    # of the certification grid do
     p = Distribution.zipf(4096, 1.0).probs
-    with _spy_blocks_kept() as certifying:
+    with _spy_closed_form() as certifying:
         plan = plan_additive(Distribution(p[np.random.default_rng(0).permutation(p.size)]), 0.25)
-    with _spy_blocks_kept() as heavy:
+    with _spy_closed_form() as heavy:
         plan.run(mode="exact")
-    assert plan.derived.poly_pos.degree > 90_000 and len(heavy) == 2 * 16
-    assert max(j for _, j in heavy) <= 20
-    assert np.mean([j == 1 for _, j in certifying]) >= 0.8
+    assert plan.derived.poly_pos.degree > 90_000
+    assert [(points, blocked) for _, points, blocked in heavy] == [(4096, 0)] * 2
+    assert [points for _, points, _ in certifying] == [14257] * 2
+    assert all(0 < blocked <= 40 for _, _, blocked in certifying)
 
 
 def _scan_every_row():
@@ -530,70 +437,6 @@ def test_flush_band_keeps_every_bit_at_its_rounding_edge(row):
         with _scan_every_row():
             want = [poly(x[i:i + 1]).tobytes() for i in range(x.size)]
     assert got == want
-
-
-@contextlib.contextmanager
-def _spy_rows_kept():
-    # yields the (b, K) of every chunk evaluated inside the block
-    seen, rule = [], logapprox._rows_kept
-
-    def spy(poly, abs_y, rows, kept):
-        counts = rule(poly, abs_y, rows, kept)
-        seen.extend((poly.blocks.shape[1], int(k)) for k in counts)
-        return counts
-    with _patched("_rows_kept", spy):
-        yield seen
-
-
-def _form_every_row():
-    # every chunk evaluated inside the block forms all b power rows
-    return _patched("_rows_kept",
-                    lambda poly, abs_y, rows, kept: np.full(kept.size, poly.blocks.shape[1]))
-
-
-def _series_or_spike(kind, b, extra, c, build, row, spike):
-    # b * b + extra coefficients, so the block width is b: a Taylor series cut short,
-    # or c_0 = 1 with one spike at `row` of block 0 and another at row 0 of block 1,
-    # where dropping the spike's row moves the value by far more than an ulp
-    size = b * b + extra
-    if kind == "series":
-        poly = build(c, 2e-5, 1e-9)
-        assume(poly.coeffs.size >= size)
-        return _truncated(poly, size - 1)
-    coeffs = np.zeros(size)
-    coeffs[[0, row, b]] = 1.0, spike, spike
-    return TaylorPolynomial(coeffs=coeffs, c=1.0, sign=1, delta=1.0, normalization=1.0,
-                            eps_cert=0.0)
-
-
-@settings(max_examples=20, deadline=None)
-@given(kind=st.sampled_from(["series", "spike"]), b=st.integers(129, 800),
-       extra=st.integers(0, 2 * 800), c=st.floats(0.02, 0.98),
-       build=st.sampled_from([taylor_poly_pos, taylor_poly_neg]), row=st.integers(1, 127),
-       spike=st.floats(1e-3, 1.0), top=st.floats(0.3, 0.95),
-       order=st.permutations(range(4)), seed=st.integers(0, 2**32 - 1))
-@example(kind="series", b=642, extra=0, c=0.3, build=taylor_poly_pos, row=1, spike=1.0,
-         top=0.92, order=[0, 1, 2, 3], seed=0)  # K from 256 to 512 moves bits at this b
-def test_short_chunks_keep_every_bit_of_every_row(kind, b, extra, c, build, row, spike, top,
-                                                  order, seed):
-    # chunks of 256 points uniform on [-1, 1] (every block, every row), crowded at
-    # |x| -> 1 (one block, few rows), uniform on [0.5, 1] and in a narrow band of
-    # |y| below `top` (one block, rows up to the cap and past it), in any order: a
-    # chunk forming K < b rows returns the same bytes as one forming all b, and some
-    # chunk does.  Only chunks whose |y| all sit near their largest show a wrong K
-    poly = _series_or_spike(kind, b, min(extra, 2 * b), c, build, row, spike)
-    rng = np.random.default_rng(seed)
-    sets = [rng.uniform(-1.0, 1.0, 512), 1.0 - np.geomspace(1e-15, 0.5, 512),
-            rng.uniform(0.5, 1.0, 512), 1.0 - top * rng.uniform(0.98, 1.0, 512)]
-    x = np.concatenate([sets[i] for i in order])
-    with np.errstate(under="raise"):
-        with _spy_rows_kept() as seen:
-            got = poly(x)
-        with _form_every_row():
-            want = poly(x)
-    assert got.tobytes() == want.tobytes()
-    assert any(k < b for _, k in seen)
-    assert all(k == b or k <= EVAL_CHUNK // MIN_ROWS for _, k in seen)
 
 
 def _binomial_series_per_term(c, sign, delta, eps, norm):
@@ -669,8 +512,8 @@ def test_series_chunk_changes_no_coefficient(monkeypatch):
 # certify's (sup_error, max_abs) of the additive polynomials at n = 2^logn, by sign,
 # recorded with every row formed (OpenBLAS 0.3.31, one thread).  Their last bits move
 # with the BLAS kernel and thread count (at n = 16384 two threads read 2^-54 higher),
-# so they bound the report within 4 ulps of sum |c_k|, and the same process's
-# every-row evaluation pins it bit for bit
+# so they bound the report within 4 ulps of sum |c_k|, and the same process's certify
+# on the blocked path alone pins it bit for bit
 ADDITIVE_CERT_REPORTS = {
     (12, 1): ("0x1.8bc9p-31", "0x1p-1"),
     (12, -1): ("0x1.8bf0dap-31", "0x1.00f35144fd826p-1"),
@@ -681,39 +524,20 @@ ADDITIVE_CERT_REPORTS = {
 
 @pytest.mark.parametrize("logn", [12, 14])
 def test_additive_certify_reports_match_recorded_values(logn):
-    d = derive_params(EstimatorParams(n=2**logn, gamma=1.0 + 0.25 / logn, eps=0.25 / (4 * logn)),
-                      m_bits=logn)
-    for poly in (d.poly_pos, d.poly_neg):
-        with _spy_rows_kept() as seen:
-            rep = certify(poly, CERT_GRID_POINTS)
-        with _form_every_row():
-            full = certify(poly, CERT_GRID_POINTS)
-        b = poly.blocks.shape[1]
-        assert sum(k < b for _, k in seen) >= 40  # of 56 chunks
-        assert (rep.sup_error.hex(), rep.max_abs.hex()) == (full.sup_error.hex(),
-                                                            full.max_abs.hex())
-        sup_error, max_abs = map(float.fromhex, ADDITIVE_CERT_REPORTS[logn, poly.sign])
-        tol = _ulps_of_coeff_sum(poly)
-        assert abs(rep.sup_error - sup_error) <= tol and abs(rep.max_abs - max_abs) <= tol
-
-
-@pytest.mark.parametrize("logn", [12, 14])
-def test_certify_with_skipped_chunks_matches_full_evaluation(logn):
-    # the additive polynomials at n = 4096 and 16384, degrees 91k and 412k: most chunks
-    # of the certification grid keep one block, and no value moves by more than 4 ulps
-    # of sum |c_k| against the same evaluation keeping every block
+    # the additive polynomials at n = 4096 and 16384, degrees 91k and 412k: closed-form
+    # values lie within 16 ulps of sum |c_k| of the blocked path's, and certify reads
+    # the same report with the closed form as without it
     d = derive_params(EstimatorParams(n=2**logn, gamma=1.0 + 0.25 / logn, eps=0.25 / (4 * logn)),
                       m_bits=logn)
     for poly in (d.poly_pos, d.poly_neg):
         grid = _cert_grid(poly.delta, CERT_GRID_POINTS)
-        dom = grid >= poly.delta
-        with _spy_blocks_kept() as kept:
-            rep, got = certify(poly, CERT_GRID_POINTS), poly(grid)
-        assert np.mean([j == 1 for _, j in kept]) >= 0.8
-        with _keep_every_block():
-            want = poly(grid)
+        rep, got = certify(poly, CERT_GRID_POINTS), poly(grid)
+        with _no_closed_form():
+            full, want = certify(poly, CERT_GRID_POINTS), poly(grid)
+        assert (rep.sup_error.hex(), rep.max_abs.hex()) == (full.sup_error.hex(),
+                                                            full.max_abs.hex())
         tol = _ulps_of_coeff_sum(poly)
-        assert np.max(np.abs(got - want)) <= tol
-        assert abs(rep.max_abs - np.abs(want).max()) <= tol
-        assert abs(rep.sup_error - np.abs(want[dom] - poly.target(grid[dom])).max()) <= tol
+        assert np.max(np.abs(got - want)) <= 4 * tol
+        sup_error, max_abs = map(float.fromhex, ADDITIVE_CERT_REPORTS[logn, poly.sign])
+        assert abs(rep.sup_error - sup_error) <= tol and abs(rep.max_abs - max_abs) <= tol
         _assert_certify_covers_the_separate_grids(poly, CERT_GRID_POINTS, rep, tol)

@@ -246,6 +246,17 @@ def test_exact_draw_matches_phase_estimation_distribution(rounds, theta):
     assert stat <= _chi2_critical(obs.size - 1)
 
 
+@pytest.mark.parametrize("theta", [0.4, 0.4 + 2.0**-53, 0.4 - 2.0**-53])
+def test_a_draw_on_the_grid_from_either_side_takes_no_random_number(theta):
+    # M theta within 1.2e-13 of 400, above or below: outcome 400, as in _phase_estimation,
+    # and the generator is left as it was, so the draws that follow do not move
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert _draw_phase_estimation(theta, 1000, rng) == 400
+    assert np.argmax(_phase_estimation(theta, 1000)[1]) == 400
+    assert rng.bit_generator.state == state
+
+
 def test_sampled_qae_returns_the_reference_outcome_value():
     p, rounds = 0.3, 1000
     values, probs = qae_outcome_distribution(p, rounds)
