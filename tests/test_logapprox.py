@@ -304,26 +304,25 @@ def _spy_closed_form():
 def _wide_series_points(rng):
     # uniform on [-1, 1], crowded at |x| -> 1 and at |x| -> 0, in (1, 2), at +-2 and at
     # EDGE_POINTS, each with either sign
-    x = np.concatenate((rng.uniform(-1.0, 1.0, 200), 1.0 - np.geomspace(1e-15, 0.5, 100),
-                        np.geomspace(1e-15, 0.5, 100), rng.uniform(1.0, 2.0, 60),
+    x = np.concatenate((rng.uniform(-1.0, 1.0, 150), 1.0 - np.geomspace(1e-15, 0.5, 80),
+                        np.geomspace(1e-15, 0.5, 80), rng.uniform(1.0, 2.0, 40),
                         [2.0, -2.0], EDGE_POINTS))
     return x * rng.choice([-1.0, 1.0], x.size)
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=5, deadline=None)
 @given(c=st.floats(0.02, 0.98), log_delta=st.floats(math.log10(2e-5), -3.0),
        log_eps=st.floats(-6.0, -2.0), build=st.sampled_from([taylor_poly_pos, taylor_poly_neg]),
        seed=st.integers(0, 2**32 - 1))
 @example(c=0.5, log_delta=math.log10(2e-5), log_eps=-3.0, build=taylor_poly_pos, seed=0)  # b = 161
-@example(c=0.98, log_delta=-4.0, log_eps=-3.0, build=taylor_poly_neg, seed=1)  # degree 61,660
 def test_wide_series_take_the_closed_form_within_rounding(c, log_delta, log_eps, build, seed):
     # closed-form values lie within 64 ulps of sum |c_k| of long-double Horner, and every
     # other value is byte-equal to evaluating those points alone on the blocked path
     poly = build(c, 10.0**log_delta, 10.0**log_eps)
-    # degrees from 16,641 to 150k: the reference loop takes about 3 us per degree, and its
+    # degrees from 16,641 to 100k: the reference loop takes about 3 us per degree, and its
     # own error grows with the degree (7 ulps of sum |c_k| at 400k, where the closed form
     # is within 0.3 of a long-double target)
-    assume(math.isqrt(poly.coeffs.size) > 128 and poly.degree <= 150_000)
+    assume(math.isqrt(poly.coeffs.size) > 128 and poly.degree <= 100_000)
     x = _wide_series_points(np.random.default_rng(seed))
     with np.errstate(all="raise"):
         got = poly(x)
