@@ -523,20 +523,39 @@ ADDITIVE_CERT_REPORTS = {
 
 @pytest.mark.parametrize("logn", [12, 14])
 def test_additive_certify_reports_match_recorded_values(logn):
-    # the additive polynomials at n = 4096 and 16384, degrees 91k and 412k: closed-form
-    # values lie within 16 ulps of sum |c_k| of the blocked path's, and certify reads
-    # the same report with the closed form as without it
+    # certify reads the same report with the closed form as without it
+    d = derive_params(EstimatorParams(n=2**logn, gamma=1.0 + 0.25 / logn, eps=0.25 / (4 * logn)),
+                      m_bits=logn)
+    for poly in (d.poly_pos, d.poly_neg):
+        rep = certify(poly, CERT_GRID_POINTS)
+        with _no_closed_form():
+            full = certify(poly, CERT_GRID_POINTS)
+        assert (rep.sup_error.hex(), rep.max_abs.hex()) == (full.sup_error.hex(),
+                                                            full.max_abs.hex())
+        sup_error, max_abs = map(float.fromhex, ADDITIVE_CERT_REPORTS[logn, poly.sign])
+        tol = _ulps_of_coeff_sum(poly)
+        assert abs(rep.sup_error - sup_error) <= tol and abs(rep.max_abs - max_abs) <= tol
+
+
+@pytest.mark.parametrize("logn", [12, 14])
+def test_certify_with_skipped_chunks_matches_full_evaluation(logn):
+    # the additive polynomials at n = 4096 and 16384, degrees 91k and 412k: all but at
+    # most 40 points of the certification grid skip the blocked path, their closed-form
+    # values lie within 16 ulps of sum |c_k| of the blocked path's, and the report lies
+    # within 4 ulps of the blocked path's figures
     d = derive_params(EstimatorParams(n=2**logn, gamma=1.0 + 0.25 / logn, eps=0.25 / (4 * logn)),
                       m_bits=logn)
     for poly in (d.poly_pos, d.poly_neg):
         grid = _cert_grid(poly.delta, CERT_GRID_POINTS)
-        rep, got = certify(poly, CERT_GRID_POINTS), poly(grid)
+        dom = grid >= poly.delta
+        with _spy_closed_form() as seen:
+            rep, got = certify(poly, CERT_GRID_POINTS), poly(grid)
+        assert [points for _, points, _ in seen] == [grid.size] * 2
+        assert all(blocked <= 40 for _, _, blocked in seen)
         with _no_closed_form():
-            full, want = certify(poly, CERT_GRID_POINTS), poly(grid)
-        assert (rep.sup_error.hex(), rep.max_abs.hex()) == (full.sup_error.hex(),
-                                                            full.max_abs.hex())
+            want = poly(grid)
         tol = _ulps_of_coeff_sum(poly)
         assert np.max(np.abs(got - want)) <= 4 * tol
-        sup_error, max_abs = map(float.fromhex, ADDITIVE_CERT_REPORTS[logn, poly.sign])
-        assert abs(rep.sup_error - sup_error) <= tol and abs(rep.max_abs - max_abs) <= tol
+        assert abs(rep.max_abs - np.abs(want).max()) <= tol
+        assert abs(rep.sup_error - np.abs(want[dom] - poly.target(grid[dom])).max()) <= tol
         _assert_certify_covers_the_separate_grids(poly, CERT_GRID_POINTS, rep, tol)
